@@ -1,11 +1,12 @@
 """Exhaustive enumeration of linear codes of fixed (p, s, n, subtype).
 
-Candidates are generated from the block-triangular systematic shape: every
-assignment of the free entries (block-i entries range over p^(i-1) * [0,
-p^(s+1-i))) composed with every placement of the pivot columns among the n
-positions.  A code may be visited more than once across placements; the
-census only needs coverage, so duplicates are accepted and reported optima
-are deduplicated afterwards.
+Candidates are the standard (Hermite-type) generator matrices over the
+chain ring Z/p^s: one placement of the pivot columns among the n positions
+composed with one assignment of the reduced free entries (each entry is
+reduced modulo the pivot below it, and the pivot is the leftmost entry of
+least valuation in its row).  Every code of the subtype is generated exactly
+once, so counts of candidates are counts of codes; reported optima are
+still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised: codes are materialised in chunks as a
 (B, K, n) tensor, all codewords of a chunk are produced by one contraction
@@ -90,18 +91,21 @@ class SearchSpace:
         c //= math.factorial(self.n - self.rank)
         return c
 
-    def fillings_per_placement(self) -> int:
-        p, s = self.modulus.p, self.modulus.s
-        count = 1
-        later = self.rank
-        for i, k in enumerate(self.subtype, start=1):
-            later -= k
-            free_cols = later + (self.n - self.rank)
-            count *= (p ** (s + 1 - i)) ** (k * free_cols)
-        return count
-
     def candidate_count(self) -> int:
-        return self.placement_count() * self.fillings_per_placement()
+        """Number of codes of the subtype, which the scan generates once each:
+        p^(sum_{i<s} K_i (n - K_{i+1})) times the Gaussian multinomial
+        [n; k_1, ..., k_s, n - K]_p, where K_i = k_1 + ... + k_i."""
+        p, n = self.modulus.p, self.n
+
+        def q_factorial(m: int) -> int:
+            return math.prod(p ** t - 1 for t in range(1, m + 1))
+
+        partial = list(itertools.accumulate(self.subtype))
+        exponent = sum(K_i * (n - K_next) for K_i, K_next in zip(partial, partial[1:]))
+        denominator = q_factorial(n - self.rank)
+        for k in self.subtype:
+            denominator *= q_factorial(k)
+        return p ** exponent * (q_factorial(n) // denominator)
 
     def check_budget(self):
         count = self.candidate_count()
@@ -116,30 +120,40 @@ class SearchSpace:
 
 def _placement_slots(space: SearchSpace, placement):
     """Base matrix and free-entry slots (row, col, scale, radix) for one
-    placement, slots in (row, col) order."""
+    placement, slots in (row, col) order.
+
+    A block-i row has pivot p^(i-1) at its column a.  Column b carries the
+    letter j of the block pivoting there, or s+1 if no block does.  For j <= i
+    the entry is 0; for j > i it is p^(i-1) * x with x in [0, p^(j-i)), i.e.
+    reduced modulo the pivot below it, and x is a multiple of p when b < a, so
+    the pivot is the row's leftmost entry of least valuation.  These are the
+    standard forms over the chain ring, one per code; slots of radix 1 are
+    dropped."""
     p, s = space.modulus.p, space.modulus.s
     K, n = space.rank, space.n
-    base = np.zeros((max(K, 1), n), dtype=np.int64)
-    row = 0
-    for i, (k, cols) in enumerate(zip(space.subtype, placement), start=1):
+    letter = [s + 1] * n
+    for i, cols in enumerate(placement, start=1):
         for c in cols:
-            base[row, c] = p ** (i - 1)
-            row += 1
+            letter[c] = i
+    base = np.zeros((max(K, 1), n), dtype=np.int64)
     slots = []
     row = 0
-    earlier: set[int] = set()
-    for i, (k, cols) in enumerate(zip(space.subtype, placement), start=1):
-        for c in cols:
-            free_cols = [j for j in range(n) if j not in earlier and j not in cols]
-            for j in sorted(free_cols):
-                slots.append((row, j, p ** (i - 1), p ** (s + 1 - i)))
+    for i, cols in enumerate(placement, start=1):
+        for a in cols:
+            base[row, a] = p ** (i - 1)
+            for b in range(n):
+                if letter[b] <= i:
+                    continue
+                left = int(b < a)
+                radix = p ** (letter[b] - i - left)
+                if radix > 1:
+                    slots.append((row, b, p ** (i - 1 + left), radix))
             row += 1
-        earlier.update(cols)
     return base, slots
 
 
 def enumerate_codes(space: SearchSpace):
-    """Yield every code of the subtype at least once, as LinearCode."""
+    """Yield every code of the subtype exactly once, as LinearCode."""
     space.check_budget()
     m = space.modulus
     if space.rank == 0:
@@ -236,7 +250,7 @@ class CensusResult:
     def to_json(self) -> str:
         m = self.space.modulus
         doc = {
-            "version": 1,
+            "version": 2,
             "space": {"p": m.p, "s": m.s, "n": self.space.n,
                       "subtype": list(self.space.subtype)},
             "max_lee_distance": self.max_d,
@@ -272,10 +286,10 @@ def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult
     """True maximal minimum Lee distance over the space, with the optimal
     codes retained (deduplicated up to signed-permutation equivalence).
 
-    Counts are over enumerated candidates and may count one code several
-    times (the enumeration is a cover, not a transversal).  Restricting
-    `placements` to a subset partitions the work; partial results recombine
-    with CensusResult.merge independently of completion order.
+    Counts are over codes: the enumeration generates each code of the space
+    exactly once.  Restricting `placements` to a subset partitions the work;
+    partial results recombine with CensusResult.merge independently of
+    completion order.
     """
     m = space.modulus
     tests = _attainment_tests(space)
@@ -377,12 +391,7 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_0
 def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
     """One representative per signed-permutation class, preserving order."""
     unique: list[LinearCode] = []
-    seen_sets: set[frozenset] = set()
     for c in codes:
-        key = frozenset(tuple(int(x) for x in w) for w in c.codeword_array())
-        if key in seen_sets:
-            continue
-        seen_sets.add(key)
         if not any(signed_perm_equivalent(c, u) for u in unique):
             unique.append(c)
     return unique
@@ -570,10 +579,7 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
                 target = math.floor(2 * (params.n - params.k)) + 1
                 hits, _, count, _, _ = _scan_attainers(space, lambda d, t=target: d == t)
                 examined += count
-                for g in hits:
-                    c = LinearCode.from_generator(m, g.tolist(), n=n)
-                    if not any(c == f for f in found):
-                        found.append(c)
+                found.extend(LinearCode.from_generator(m, g.tolist(), n=n) for g in hits)
             for c in found:
                 if not any(c == pc for pc in predicted):
                     extra.append(f"n={n}: {list(c.rows)}")
@@ -682,19 +688,6 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     verdict = "EQUAL" if not extra else "EXTRA"
     return {"theorem": "plotkin_rank", "verdict": verdict, "extra": extra,
             "examined": examined, "attainers": attainers}
-
-
-def cyclic_equidistant(m: Modulus, word) -> bool:
-    """Whether <word> is Lee-equidistant, checked over sign-class multipliers."""
-    q = m.q
-    weights = set()
-    for lam in range(1, m.M + 1):
-        scaled = [(lam * e) % q for e in word]
-        if any(scaled):
-            weights.add(sum(min(x, q - x) for x in scaled))
-            if len(weights) > 1:
-                return False
-    return len(weights) == 1
 
 
 def _check_rank2_equidistant(rings, n_max, budget) -> dict:

@@ -1,18 +1,22 @@
+import itertools
 import json
 import random
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
 from leecodes.search import (SearchSpace, all_subtypes, check_characterization,
                              dedup_codes, enumerate_codes, find_attaining_codes,
-                             max_lee_distance_census, signed_perm_equivalent,
-                             verify_mds_socle)
+                             max_lee_distance_census, scan_space,
+                             signed_perm_equivalent, verify_mds_socle)
 
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
 Z7 = Modulus(7, 1)
+Z8 = Modulus(2, 3)
 Z9 = Modulus(3, 2)
 
 
@@ -23,8 +27,7 @@ def test_space_validation_and_counts():
         SearchSpace(Z4, 1, (1, 1))      # rank over length
     space = SearchSpace(Z5, 2, (1,))
     assert space.placement_count() == 2
-    assert space.fillings_per_placement() == 5
-    assert space.candidate_count() == 10
+    assert space.candidate_count() == 6      # [2; 1]_5, the lines of F_5^2
 
 
 def test_budget_refusal_reports_count():
@@ -35,7 +38,7 @@ def test_budget_refusal_reports_count():
 
 def test_enumerate_codes_examples():
     codes = list(enumerate_codes(SearchSpace(Z5, 2, (1,))))
-    assert len(codes) == 10
+    assert len(codes) == 6
     target = LinearCode.from_generator(Z5, [[1, 2]])
     assert any(c == target for c in codes)
 
@@ -60,6 +63,83 @@ def test_enumeration_covers_every_code_of_the_subtype():
             assert any(c == e for e in enumerate_codes(space)), (m, rows)
 
 
+def _gaussian_binomial(p, n, k):
+    """[n; k]_p by the recursion [n; k] = [n-1; k-1] + p^k [n-1; k]."""
+    if k < 0 or k > n:
+        return 0
+    if k in (0, n):
+        return 1
+    return _gaussian_binomial(p, n - 1, k - 1) + p**k * _gaussian_binomial(p, n - 1, k)
+
+
+def _code_count(p, n, subtype):
+    """Codes of the subtype in (Z/p^s)^n: p^(sum_{i<s} K_i (n - K_{i+1}))
+    times [n; k_1, ..., k_s, n - K]_p, the multinomial written as the product
+    of the binomials [n - K_{i-1}; k_i]_p."""
+    K = list(itertools.accumulate(subtype, initial=0))
+    count = p ** sum(K[i] * (n - K[i + 1]) for i in range(1, len(subtype)))
+    for i, k in enumerate(subtype, start=1):
+        count *= _gaussian_binomial(p, n - K[i - 1], k)
+    return count
+
+
+def _span_keys(q, G):
+    """One key per generator of G, shape (B, rows, n): the indices of all its
+    coefficient combinations, sorted.  Each word of a code C is hit
+    q^rows / |C| times, so generators with as many rows share a key iff they
+    span the same code."""
+    rows, n = G.shape[1:]
+    U = np.array(list(itertools.product(range(q), repeat=rows)), dtype=np.int64)
+    words = np.matmul(U, G) % q
+    return np.sort(words @ q ** np.arange(n, dtype=np.int64), axis=1)
+
+
+def _key_subtype(m, n, key):
+    """Subtype of the code with this key.  With |p^t C| = p^(e_t), the ranks
+    K_i = k_1 + ... + k_i are K_{s-t} = e_t - e_{t+1}."""
+    words = np.unique(key)[:, None] // m.q ** np.arange(n) % m.q
+    e = []
+    for t in range(m.s + 1):
+        size, exp = len(np.unique(m.p**t * words % m.q, axis=0)), 0
+        while size > 1:
+            size, exp = size // m.p, exp + 1
+        e.append(exp)
+    K = [0] + [e[m.s - i] - e[m.s - i + 1] for i in range(1, m.s + 1)]
+    return tuple(K[i] - K[i - 1] for i in range(1, m.s + 1))
+
+
+def _brute_force_codes(m, n, rows):
+    """Keys of all codes spanned by `rows` rows, grouped by subtype.  A matrix
+    spans the sum of its rows' cyclic codes, so the closure of every such
+    matrix is reached with one row per cyclic code."""
+    vectors = np.array(list(itertools.product(range(m.q), repeat=n)), dtype=np.int64)
+    _, first = np.unique(_span_keys(m.q, vectors[:, None, :]), axis=0, return_index=True)
+    G = np.array(list(itertools.combinations_with_replacement(vectors[first], rows)))
+    codes = defaultdict(set)
+    for key in np.unique(_span_keys(m.q, G), axis=0):
+        codes[_key_subtype(m, n, key)].add(key.tobytes())
+    return codes
+
+
+def test_scan_generates_each_code_exactly_once():
+    for m in (Z4, Z5, Z7, Z8, Z9):
+        for n in (1, 2, 3):
+            rows = min(n, 6 // n)
+            brute = _brute_force_codes(m, n, rows)
+            del brute[(0,) * m.s]
+            for subtype in all_subtypes(m, n):
+                space = SearchSpace(m, n, subtype)
+                G = np.concatenate([G for G, _ in scan_space(space)])
+                assert len(G) == _code_count(m.p, n, subtype) == space.candidate_count(), \
+                    (m, n, subtype)
+                assert len(np.unique(_span_keys(m.q, G), axis=0)) == len(G), (m, n, subtype)
+                if space.rank <= rows:
+                    pad = np.zeros((len(G), rows - space.rank, n), dtype=np.int64)
+                    keys = _span_keys(m.q, np.concatenate([G, pad], axis=1))
+                    assert {k.tobytes() for k in keys} == brute.pop(subtype), (m, n, subtype)
+            assert not brute, (m, n, sorted(brute))
+
+
 def test_census_examples():
     res = max_lee_distance_census(SearchSpace(Z4, 2, (0, 1)))
     assert res.max_d == 4
@@ -76,7 +156,7 @@ def test_census_determinism_and_json():
     b = max_lee_distance_census(SearchSpace(Z4, 3, (0, 1)))
     assert a.to_json() == b.to_json()
     doc = json.loads(a.to_json())
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["space"] == {"p": 2, "s": 2, "n": 3, "subtype": [0, 1]}
     assert doc["max_lee_distance"] == 6
     assert doc["codes_examined"] == a.examined
@@ -84,8 +164,8 @@ def test_census_determinism_and_json():
 
 def test_census_attainment_counts():
     res = max_lee_distance_census(SearchSpace(Z5, 2, (1,)))
-    # every candidate of the space is counted, duplicates included
-    assert res.examined == 10
+    # every code of the space is counted once: the 6 lines of F_5^2
+    assert res.examined == 6
     assert res.attainment_counts["shiromoto"] >= 1
 
 
