@@ -67,7 +67,8 @@ class CodeParams:
     def cardinality(self) -> int:
         # |C| = p^(s*k); k has denominator dividing s, so this is exact.
         e = self.k * self.modulus.s
-        assert e.denominator == 1
+        if e.denominator != 1:
+            raise ValueError(f"type k={self.k} times s={self.modulus.s} is not an integer")
         return self.modulus.p ** int(e)
 
     @property

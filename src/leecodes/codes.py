@@ -113,6 +113,22 @@ def _row_reduce(m: Modulus, rows: list[list[int]]):
     return pivot_rows, pivots
 
 
+def word_profiles(m: Modulus, words: np.ndarray) -> np.ndarray:
+    """(order valuation, Lee weight, Hamming weight) of each row of `words`,
+    shape (N, 3); each is invariant under signed coordinate permutations.
+
+    The order valuation is the largest t <= s with p^t dividing every entry,
+    so the zero word gets s.  It is counted by divisibility tests rather than
+    a table of size q, which may be as large as 2^31."""
+    q, p = m.q, m.p
+    out = np.zeros((len(words), 3), dtype=np.int64)
+    for t in range(1, m.s + 1):
+        out[:, 0] += (words % p**t == 0).all(axis=1)
+    out[:, 1] = np.minimum(words, q - words).sum(axis=1)
+    out[:, 2] = (words != 0).sum(axis=1)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """A linear code with cached structural parameters.
@@ -263,8 +279,7 @@ class LinearCode:
         q = self.modulus.q
         if not self.rows:
             return np.zeros((1, self.n), dtype=np.int64)
-        grids = np.meshgrid(*[np.arange(o) for o in self.row_orders], indexing="ij")
-        coeffs = np.stack([g.reshape(-1) for g in grids], axis=1)
+        coeffs = np.indices(self.row_orders).reshape(self.rank, -1).T
         gen = np.array(self.rows, dtype=np.int64)
         return (coeffs @ gen) % q
 
@@ -273,6 +288,25 @@ class LinearCode:
         words = self.codeword_array()
         q = self.modulus.q
         return np.minimum(words, q - words).sum(axis=1)
+
+    @cached_property
+    def codeword_profiles(self) -> np.ndarray:
+        """The word_profiles of all codewords, in codeword_array() order."""
+        return word_profiles(self.modulus, self.codeword_array())
+
+    @cached_property
+    def invariant_key(self) -> tuple:
+        """Hashable invariants under signed coordinate permutations: modulus,
+        length, subtype, support subtype and the multiset of codeword
+        profiles (which fixes the Lee weight enumerator)."""
+        # not from codeword_profiles: a code whose key is all that is asked
+        # for then keeps no per-codeword array
+        profiles = word_profiles(self.modulus, self.codeword_array())
+        profiles = profiles[np.lexsort(profiles.T[::-1])]
+        firsts = np.flatnonzero(np.r_[True, (profiles[1:] != profiles[:-1]).any(axis=1)])
+        counts = np.diff(firsts, append=len(profiles))
+        return (self.modulus, self.n, self.subtype, self.support_subtype(),
+                profiles[firsts].tobytes(), counts.tobytes())
 
     def min_lee_distance(self) -> int:
         if self.cardinality < 2:
@@ -287,9 +321,13 @@ class LinearCode:
         wh = (words != 0).sum(axis=1)
         return int(wh[wh > 0].min())
 
+    @cached_property
+    def _lee_weight_enumerator(self) -> tuple[int, ...]:
+        return tuple(sorted(int(x) for x in self._lee_weights))
+
     def lee_weight_enumerator(self) -> tuple[int, ...]:
         """Sorted Lee weights of all codewords (an equivalence invariant)."""
-        return tuple(sorted(int(x) for x in self._lee_weights))
+        return self._lee_weight_enumerator
 
     # -- support and averages -----------------------------------------------
 

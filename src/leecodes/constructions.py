@@ -62,7 +62,8 @@ def sign_class_reps(m: Modulus, level: int) -> list[int]:
 def equidistant_weight(m: Modulus, i: int) -> int:
     """The constant weight p^(2s-i)(p^2 - 1)/8 of the level-i construction."""
     w = Fraction(m.p ** (2 * m.s - i) * (m.p**2 - 1), 8)
-    assert w.denominator == 1
+    if w.denominator != 1:
+        raise ValueError(f"the level-{i} weight {w} over {m} is not an integer")
     return int(w)
 
 
@@ -117,7 +118,8 @@ def equidistant_rank2(spec: EquidistantSpec) -> LinearCode:
 
     reps = p ** (s - spec.i)
     row2 = z * (reps * half) + y * ((reps - 1) // 2) + x
-    assert len(row1) == len(row2)
+    if len(row1) != len(row2):
+        raise ValueError(f"generator rows of lengths {len(row1)} and {len(row2)} for {spec}")
     return LinearCode.from_generator(m, [row1, row2])
 
 

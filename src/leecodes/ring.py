@@ -155,7 +155,8 @@ def ideal_total_weight(m: Modulus, i: int) -> int:
     if p == 2:
         return 2 ** (2 * s - i - 2)
     num = p ** (2 * s - i) - p**i
-    assert num % 4 == 0
+    if num % 4:
+        raise ValueError(f"total weight {num}/4 of level {i} over {m} is not an integer")
     return num // 4
 
 

@@ -26,10 +26,11 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import CodeParams, coefficient_A, evaluate_bounds
-from .codes import BudgetError, LinearCode
+from .codes import BudgetError, LinearCode, word_profiles
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
+EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
 
 __all__ = [
     "SearchSpace",
@@ -330,69 +331,71 @@ def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
 
 # -- equivalence ---------------------------------------------------------------
 
-def _canon_sign(col: tuple[int, ...], q: int) -> tuple[int, ...]:
-    neg = tuple((-e) % q for e in col)
-    return min(col, neg)
-
-
-def _column_multiset(rows, q: int) -> Counter:
-    return Counter(_canon_sign(col, q) for col in zip(*rows))
-
-
-def _word_profile(m: Modulus, word) -> tuple:
-    q = m.q
-    lee = sum(min(e, q - e) for e in word)
-    ham = sum(1 for e in word if e)
-    order_val = min((m.val(e) for e in word if e), default=m.s)
-    return (order_val, lee, ham)
+def _sorted_columns(gens: np.ndarray, q: int) -> np.ndarray:
+    """The columns of each generator tuple of `gens` (B, K, n), each replaced
+    by the lexicographically smaller of itself and its negative, then sorted
+    lexicographically: shape (B, n, K).  Two tuples get the same array iff
+    one is a signed column permutation of the other."""
+    B, K, n = gens.shape
+    cols = gens.transpose(0, 2, 1).reshape(B * n, K)
+    neg = (-cols) % q
+    at = np.arange(B * n), (cols != neg).argmax(axis=1)
+    cols = np.where((cols[at] > neg[at])[:, None], neg, cols)
+    order = np.lexsort((*cols.T[::-1], np.repeat(np.arange(B), n)))
+    return cols[order].reshape(B, n, K)
 
 
 def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_000) -> bool:
     """Equivalence under coordinate permutations composed with sign flips.
 
-    Two codes are equivalent iff some generating tuple of `b` matches the
-    reduced generator tuple of `a` column-by-column up to global sign per
-    coordinate; that is decided by comparing column multisets over candidate
-    generating tuples.
+    Codes with different invariant keys are never equivalent.  Otherwise they
+    are equivalent iff some tuple of codewords of `b`, each with the profile
+    of the matching reduced generator row of `a`, has the same sorted
+    sign-canonical columns as those rows and generates all of `b`.  The
+    tuples are walked in chunks; more than `search_cap` of them raise
+    BudgetError.
     """
-    if a.modulus != b.modulus or a.n != b.n or a.cardinality != b.cardinality:
-        return False
-    if a.subtype != b.subtype:
-        return False
-    if a.support_subtype() != b.support_subtype():  # level counts are invariant
-        return False
-    if a.lee_weight_enumerator() != b.lee_weight_enumerator():
+    if a.invariant_key != b.invariant_key:
         return False
     if a == b:
         return True
-    q = a.modulus.q
-    target = _column_multiset(a.rows, q)
-    profiles = [_word_profile(a.modulus, row) for row in a.rows]
-    words = [tuple(int(x) for x in w) for w in b.codeword_array()]
-    pools = []
-    for prof in profiles:
-        pool = [w for w in words if _word_profile(a.modulus, w) == prof]
-        if not pool:
-            return False
-        pools.append(pool)
-    total = 1
-    for pool in pools:
-        total *= len(pool)
+    m = a.modulus
+    rows = np.array(a.rows, dtype=np.int64)
+    words = b.codeword_array()
+    match = (word_profiles(m, rows)[:, None, :] == b.codeword_profiles[None, :, :]).all(axis=2)
+    pools = [words[mask] for mask in match]
+    sizes = [len(pool) for pool in pools]
+    total = math.prod(sizes)
     if total > search_cap:
-        raise RuntimeError(f"equivalence search space too large ({total} tuples)")
-    for tup in itertools.product(*pools):
-        if _column_multiset(tup, q) != target:
-            continue
-        if LinearCode.from_generator(a.modulus, tup, n=a.n).cardinality == b.cardinality:
-            return True
+        raise BudgetError(f"equivalence search space too large ({total} tuples)")
+    target = _sorted_columns(rows[None], m.q)
+    K, n = rows.shape
+    for start in range(0, total, EQUIVALENCE_CHUNK):
+        idx = np.arange(start, min(start + EQUIVALENCE_CHUNK, total), dtype=np.int64)
+        tuples = np.empty((len(idx), K, n), dtype=np.int64)
+        for i in reversed(range(K)):
+            tuples[:, i] = pools[i][idx % sizes[i]]
+            idx //= sizes[i]
+        hits = (_sorted_columns(tuples, m.q) == target).all(axis=(1, 2))
+        for tup in tuples[hits]:
+            if LinearCode.from_generator(m, tup.tolist(), n=a.n).cardinality == b.cardinality:
+                return True
     return False
 
 
 def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
-    """One representative per signed-permutation class, preserving order."""
+    """One representative per signed-permutation class, preserving order.
+
+    Each code is compared only with the representatives that share its
+    invariant key; all others are inequivalent to it."""
+    if len(codes) < 2:
+        return list(codes)  # nothing to compare, so no key to compute
     unique: list[LinearCode] = []
+    buckets: dict[tuple, list[LinearCode]] = {}
     for c in codes:
-        if not any(signed_perm_equivalent(c, u) for u in unique):
+        bucket = buckets.setdefault(c.invariant_key, [])
+        if not any(signed_perm_equivalent(c, u) for u in bucket):
+            bucket.append(c)
             unique.append(c)
     return unique
 

@@ -116,6 +116,17 @@ def test_census_command():
     assert res.exit_code == 2
 
 
+def test_census_equivalence_budget_exits_2(monkeypatch):
+    # an equivalence check past its search cap is a budget refusal as well;
+    # Z/5 n=2 keeps <(1,2)> and <(1,3)>, whose check has 4 candidate tuples
+    from leecodes import search
+    monkeypatch.setattr(search.signed_perm_equivalent, "__defaults__", (1,))
+    res = run("census", "--p", "5", "--n", "2", "--k1", "1")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert "error: equivalence search space too large" in res.stderr
+
+
 def test_table1_command(tmp_path):
     out = tmp_path / "table.csv"
     res = run("table1", "--no-census", "--csv", str(out))

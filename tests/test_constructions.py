@@ -48,6 +48,12 @@ def test_spec_validation():
         EquidistantSpec(Z5, 1, 2)       # rank 2 needs s >= 2
 
 
+def test_equidistant_weight_rejects_a_fractional_weight():
+    # 2^2 (2^2 - 1) / 8 = 12/8 over Z/4 at level 2
+    with pytest.raises(ValueError, match="not an integer"):
+        equidistant_weight(Z4, 2)
+
+
 def test_rank1_z9_matches_published_example():
     code = equidistant_rank1(EquidistantSpec(Z9, 1, 1))
     assert code.n == 11

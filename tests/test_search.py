@@ -213,11 +213,47 @@ def test_signed_perm_equivalence():
     assert signed_perm_equivalent(a, d)
 
 
+def test_equivalence_search_cap_raises_budget_error():
+    a = LinearCode.from_generator(Z9, [[1, 2, 3]])
+    b = LinearCode.from_generator(Z9, [[6, 1, 2]])  # pool holds +-(6, 1, 2)
+    assert signed_perm_equivalent(a, b)
+    with pytest.raises(BudgetError, match="too large"):
+        signed_perm_equivalent(a, b, search_cap=1)
+
+
 def test_dedup_codes():
     a = LinearCode.from_generator(Z5, [[1, 2]])
     b = LinearCode.from_generator(Z5, [[2, 1]])   # swapped columns
     c = LinearCode.from_generator(Z5, [[1, 1]])
     assert len(dedup_codes([a, b, c])) == 2
+    # the first-seen member of each class is kept, in input order
+    kept = dedup_codes([c, b, a])
+    assert len(kept) == 2 and kept[0] is c and kept[1] is b
+
+
+def _orbit_key(code):
+    """The least sorted tuple of codeword encodings over all n! 2^(n-1)
+    signed permutations (the global sign maps a code onto itself), so two
+    codes share it iff they are signed-permutation equivalent."""
+    q, n = code.modulus.q, code.n
+    words = code.codeword_array()
+    place = q ** np.arange(n, dtype=np.int64)
+    signs = [(1,) + rest for rest in itertools.product((1, -1), repeat=n - 1)]
+    return min(tuple(np.sort((words[:, list(perm)] * sign % q) @ place))
+               for perm in itertools.permutations(range(n)) for sign in signs)
+
+
+def test_dedup_codes_keeps_one_code_per_orbit():
+    total = 0
+    for m in (Z4, Z5, Z7, Z8, Z9):
+        for n in (1, 2, 3):
+            for subtype in all_subtypes(m, n):
+                codes = list(enumerate_codes(SearchSpace(m, n, subtype)))
+                total += len(codes)
+                kept = [_orbit_key(c) for c in dedup_codes(codes)]
+                assert len(set(kept)) == len(kept), (m, n, subtype)
+                assert set(kept) == {_orbit_key(c) for c in codes}, (m, n, subtype)
+    assert total == 1648
 
 
 def test_all_subtypes():

@@ -1,0 +1,17 @@
+"""Rules on the library source itself."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "leecodes"
+
+
+def test_library_code_has_no_assert_statements():
+    # invariants must hold under `python -O` too, which strips asserts
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Assert))
+    assert list(SOURCE.glob("*.py"))
+    assert not found, found
