@@ -6,11 +6,15 @@ point.  Floor-style bounds of the shape floor((d-1)/M) <= R are exposed in
 "max consistent d" form, i.e. the largest integer d satisfying them, which is
 M*(R+1).  Where the literature floors a coefficient but plots the floor of
 the product, both readings are returned, labelled `stated` and `plotted`.
+
+`BOUNDS` names every bound once: its evaluator and its attainment rule.
+`evaluate_bounds`, `attainment_check` and the census all read it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,21 +23,22 @@ from .ring import Modulus, ambient_average_weight
 
 __all__ = [
     "CodeParams",
+    "Bound",
     "BoundCell",
+    "BOUNDS",
     "coefficient_A",
+    "type_form",
     "singleton_hamming",
     "singleton_rank",
     "z4_singleton",
     "shiromoto_max_d",
     "shiromoto_rank_max_d",
-    "lee_mdr",
     "alderson_huntemann",
     "wyner_graham",
     "chiang_wolf",
     "chiang_wolf_k1",
     "hamming_to_lee",
     "rank_plotkin",
-    "rank_plotkin_level",
     "subcode_plotkin",
     "applicable_levels",
     "attainment_check",
@@ -137,18 +142,19 @@ def shiromoto_rank_max_d(params: CodeParams) -> int:
     return params.modulus.M * (params.n - params.K + 1)
 
 
-def lee_mdr(params: CodeParams) -> int:
-    """d_L <= M(n - K + 1)."""
-    if params.K < 1:
-        raise ValueError("rank bound needs K >= 1")
-    return params.modulus.M * (params.n - params.K + 1)
+def type_form(params: CodeParams) -> Fraction:
+    """M(n - k) for the exact rational type k.  Shiromoto's bound in its
+    original type form is attained when d_L > M(n - k), so its largest
+    consistent d is floor(M(n - k)) + 1; at integer k this is also the
+    Alderson-Huntemann value."""
+    return params.modulus.M * (params.n - params.k)
 
 
 def alderson_huntemann(params: CodeParams) -> int | None:
     """d_L <= M(n - k) for integer type 1 < k < n; None when inapplicable."""
     if params.k.denominator != 1 or not (1 < params.k < params.n):
         return None
-    return params.modulus.M * (params.n - int(params.k))
+    return int(type_form(params))
 
 
 # -- Plotkin-like bounds -------------------------------------------------------
@@ -181,7 +187,9 @@ def hamming_to_lee(m: Modulus, ell: int, d_hamming: int) -> Fraction:
 
 
 def rank_plotkin(params: CodeParams) -> dict:
-    """The rank/average-weight bound A(p,s,1) * (n - K + 1).
+    """The rank/average-weight bound A(p,s,ell) * (n - K + 1), at level
+    ell = params.ell, or 1 when unset.  A level above 1 needs a level-ell
+    witness, which the caller vouches for (see applicable_levels).
 
     Returns both integer readings: `stated` floors the coefficient first,
     `plotted` floors the product (the convention comparison plots follow),
@@ -189,22 +197,7 @@ def rank_plotkin(params: CodeParams) -> dict:
     """
     if params.K < 1:
         raise ValueError("rank bound needs K >= 1")
-    a = coefficient_A(params.modulus, 1)
-    exact = a * (params.n - params.K + 1)
-    return {
-        "value": exact,
-        "stated": math.floor(a) * (params.n - params.K + 1),
-        "plotted": math.floor(exact),
-    }
-
-
-def rank_plotkin_level(params: CodeParams) -> dict:
-    """Level-ell refinement A(p,s,ell) * (n - K + 1); the caller is responsible
-    for the existence of a level-ell witness (see applicable_levels)."""
-    ell = params.ell
-    if ell is None:
-        raise ValueError("params.ell must be set")
-    a = coefficient_A(params.modulus, ell)
+    a = coefficient_A(params.modulus, 1 if params.ell is None else params.ell)
     exact = a * (params.n - params.K + 1)
     return {
         "value": exact,
@@ -242,22 +235,7 @@ def applicable_levels(code: LinearCode) -> set[int]:
     return levels
 
 
-# -- reports and attainment ----------------------------------------------------
-
-BOUND_IDS = (
-    "singleton_hamming",
-    "singleton_rank",
-    "z4_singleton",
-    "shiromoto",
-    "shiromoto_rank",
-    "lee_mdr",
-    "alderson_huntemann",
-    "wyner_graham",
-    "chiang_wolf",
-    "chiang_wolf_k1",
-    "rank_plotkin",
-)
-
+# -- the registry, reports and attainment -----------------------------------------
 
 @dataclass
 class BoundCell:
@@ -268,86 +246,83 @@ class BoundCell:
     stated: int | None = None  # only for rank_plotkin's floor-the-coefficient reading
 
 
-def _cells(params: CodeParams) -> dict[str, BoundCell]:
-    m = params.modulus
-    cells: dict[str, BoundCell] = {}
+@dataclass(frozen=True)
+class Bound:
+    """One bound id: its evaluator and how a code attains it.
 
-    def put(name, value):
+    The evaluator returns None, or raises ValueError, where the bound does
+    not apply.  A code attains the bound when its distance (d_H if
+    `hamming`, else d_L) equals the floored value; for a `floor_form` bound
+    floor((d-1)/M) <= R, when floor((d-1)/M) = R.
+    """
+
+    evaluate: Callable[[CodeParams], object]
+    hamming: bool = False
+    floor_form: bool = False
+
+    def cell(self, params: CodeParams) -> BoundCell:
+        try:
+            value = self.evaluate(params)
+        except ValueError:
+            value = None
         if value is None:
-            cells[name] = BoundCell(None, None, False)
-        else:
-            value = Fraction(value)
-            cells[name] = BoundCell(value, math.floor(value), True)
+            return BoundCell(None, None, False)
+        if isinstance(value, dict):  # rank_plotkin's readings
+            return BoundCell(value["value"], value["plotted"], True, stated=value["stated"])
+        value = Fraction(value)
+        return BoundCell(value, math.floor(value), True)
 
-    put("singleton_hamming", singleton_hamming(params))
-    put("singleton_rank", singleton_rank(params) if params.K >= 1 else None)
-    put("z4_singleton", z4_singleton(params) if (m.p, m.s) == (2, 2) else None)
-    put("shiromoto", shiromoto_max_d(params))
-    put("shiromoto_rank", shiromoto_rank_max_d(params) if params.K >= 1 else None)
-    put("lee_mdr", lee_mdr(params) if params.K >= 1 else None)
-    put("alderson_huntemann", alderson_huntemann(params))
-    put("wyner_graham", wyner_graham(params) if params.k > 0 else None)
-    put("chiang_wolf", chiang_wolf(params))
-    put("chiang_wolf_k1", chiang_wolf_k1(params) if params.k1 >= 1 else None)
-    if params.K >= 1:
-        rp = rank_plotkin(params)
-        cells["rank_plotkin"] = BoundCell(rp["value"], rp["plotted"], True, stated=rp["stated"])
-    else:
-        cells["rank_plotkin"] = BoundCell(None, None, False)
-    return cells
+    def attained(self, params: CodeParams, target: int, d):
+        """Whether the distance d (an int or a numpy array) attains the bound
+        whose floored value at `params` is `target`."""
+        if self.floor_form:
+            M = params.modulus.M
+            return (d - 1) // M == target // M - 1   # target = M(R + 1)
+        return d == target
+
+
+BOUNDS = {
+    "singleton_hamming": Bound(singleton_hamming, hamming=True),
+    "singleton_rank": Bound(singleton_rank, hamming=True),
+    "z4_singleton": Bound(z4_singleton),
+    "shiromoto": Bound(shiromoto_max_d, floor_form=True),
+    "shiromoto_rank": Bound(shiromoto_rank_max_d, floor_form=True),
+    # the same value as shiromoto_rank, attained only at equality
+    "lee_mdr": Bound(shiromoto_rank_max_d),
+    "alderson_huntemann": Bound(alderson_huntemann),
+    "wyner_graham": Bound(wyner_graham),
+    "chiang_wolf": Bound(chiang_wolf),
+    "chiang_wolf_k1": Bound(chiang_wolf_k1),
+    "rank_plotkin": Bound(rank_plotkin),
+}
+
+BOUND_IDS = tuple(BOUNDS)
 
 
 def attainment_check(code: LinearCode, bound_id: str) -> bool:
-    """Whether the code attains the named bound.
-
-    Floor-style bounds are attained when the floor expression meets its
-    right-hand side with equality; value-style Lee bounds when d_L equals the
-    integer (floored) form; the two Hamming-metric Singleton bounds compare
-    against d_H.
-    """
+    """Whether the code attains the named bound (see Bound); ValueError for
+    an unknown bound id or one inapplicable to the code."""
+    bound = BOUNDS.get(bound_id)
+    if bound is None:
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    d = code.min_hamming_distance() if bound.hamming else code.min_lee_distance()
     params = CodeParams.from_code(code)
-    m = params.modulus
-    if bound_id == "singleton_hamming":
-        return code.min_hamming_distance() == singleton_hamming(params)
-    if bound_id == "singleton_rank":
-        return code.min_hamming_distance() == singleton_rank(params)
-    d = code.min_lee_distance()
-    if bound_id == "z4_singleton":
-        return d == z4_singleton(params)
-    if bound_id == "shiromoto":
-        return (d - 1) // m.M == params.n - params.ceil_k
-    if bound_id == "shiromoto_rank":
-        return (d - 1) // m.M == params.n - params.K
-    if bound_id == "lee_mdr":
-        return d == lee_mdr(params)
-    if bound_id == "alderson_huntemann":
-        value = alderson_huntemann(params)
-        if value is None:
-            raise ValueError("Alderson-Huntemann is inapplicable to these parameters")
-        return d == value
-    if bound_id == "wyner_graham":
-        return d == math.floor(wyner_graham(params))
-    if bound_id == "chiang_wolf":
-        value = chiang_wolf(params)
-        if value is None:
-            raise ValueError("Chiang-Wolf is inapplicable to these parameters")
-        return d == math.floor(value)
-    if bound_id == "chiang_wolf_k1":
-        return d == math.floor(chiang_wolf_k1(params))
-    if bound_id == "rank_plotkin":
-        return d == rank_plotkin(params)["plotted"]
-    if bound_id == "rank_plotkin_exact":
-        return Fraction(d) == rank_plotkin(params)["value"]
-    raise ValueError(f"unknown bound id {bound_id!r}")
+    cell = bound.cell(params)
+    if not cell.applicable:
+        raise ValueError(f"bound {bound_id!r} is inapplicable to these parameters")
+    return bool(bound.attained(params, cell.floored, d))
 
 
 def evaluate_bounds(params_or_code) -> dict[str, BoundCell]:
     """BoundCell per bound id; with a concrete code, attainment flags are filled."""
-    if isinstance(params_or_code, LinearCode):
-        code = params_or_code
-        cells = _cells(CodeParams.from_code(code))
+    code = params_or_code if isinstance(params_or_code, LinearCode) else None
+    params = params_or_code if code is None else CodeParams.from_code(code)
+    cells = {name: bound.cell(params) for name, bound in BOUNDS.items()}
+    if code is not None:
+        d_lee, d_ham = code.min_lee_distance(), code.min_hamming_distance()
         for name, cell in cells.items():
             if cell.applicable:
-                cell.attained = attainment_check(code, name)
-        return cells
-    return _cells(params_or_code)
+                bound = BOUNDS[name]
+                d = d_ham if bound.hamming else d_lee
+                cell.attained = bool(bound.attained(params, cell.floored, d))
+    return cells

@@ -194,13 +194,13 @@ def construct_mld(p, s, n, index, out):
 @click.option("--n", type=int, required=True)
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
 @_with_k_options
-@click.option("--budget", type=int, default=None, help="candidate budget override")
+@click.option("--budget", type=int, default=None, help="code budget override")
 def cmd_census(p, s, n, subtype, k1, k2, k3, k4, k5, budget):
     """Exhaustive max-d_L census over one (p, s, n, subtype) space."""
     try:
         m = Modulus(p, s)
         st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
-        kwargs = {"budget": budget} if budget else {}
+        kwargs = {"budget": budget} if budget is not None else {}
         space = SearchSpace(m, n, st, **kwargs)
         result = max_lee_distance_census(space)
     except BudgetError as exc:

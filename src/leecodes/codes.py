@@ -113,6 +113,12 @@ def _row_reduce(m: Modulus, rows: list[list[int]]):
     return pivot_rows, pivots
 
 
+def coefficient_grid(orders) -> np.ndarray:
+    """Every coefficient tuple with entry i in [0, orders[i]), the last entry
+    fastest and the zero tuple first; shape (prod(orders), len(orders))."""
+    return np.indices(orders).reshape(len(orders), -1).T
+
+
 def word_profiles(m: Modulus, words: np.ndarray) -> np.ndarray:
     """(order valuation, Lee weight, Hamming weight) of each row of `words`,
     shape (N, 3); each is invariant under signed coordinate permutations.
@@ -279,9 +285,8 @@ class LinearCode:
         q = self.modulus.q
         if not self.rows:
             return np.zeros((1, self.n), dtype=np.int64)
-        coeffs = np.indices(self.row_orders).reshape(self.rank, -1).T
         gen = np.array(self.rows, dtype=np.int64)
-        return (coeffs @ gen) % q
+        return (coefficient_grid(self.row_orders) @ gen) % q
 
     @cached_property
     def _lee_weights(self) -> np.ndarray:
@@ -320,14 +325,6 @@ class LinearCode:
         words = self.codeword_array()
         wh = (words != 0).sum(axis=1)
         return int(wh[wh > 0].min())
-
-    @cached_property
-    def _lee_weight_enumerator(self) -> tuple[int, ...]:
-        return tuple(sorted(int(x) for x in self._lee_weights))
-
-    def lee_weight_enumerator(self) -> tuple[int, ...]:
-        """Sorted Lee weights of all codewords (an equivalence invariant)."""
-        return self._lee_weight_enumerator
 
     # -- support and averages -----------------------------------------------
 

@@ -1,30 +1,24 @@
 """Reproduction of the published Z/4 comparison table and the three bound
 comparison figures, with exact-rational arithmetic throughout.
 
-Figure conventions were reverse-engineered from the published plotted
-integers and are pinned here:
-
-  * chiang_wolf          floor(A(p,s,s) * (n - k1 + 1))   (free-rank form)
-  * rank_plotkin         floor(A(p,s,1) * (n - K + 1))    (floor of product)
-  * wyner_graham         floor(n * avg * |C| / (|C| - 1))
-  * shiromoto            M * (n - K + 1)                  (rank form: the
-                         plotted curve tracks K, not ceil(k); see README)
-  * alderson_huntemann   floor(M * (n - k)), k the exact rational type
-
-Verification anchors at the first figure's origin: 671 = 61*11 (Chiang-Wolf,
-A(3,5,5) = 61), 891 = 81*11 (rank averaging bound, A(3,5,1) = 81) and
-1331 = 121*11 (Shiromoto, M = 121).
+Each figure curve and each table column is one reading of a `bounds`
+evaluator, pinned in `FIGURE_CURVES` and `TABLE_COLUMNS`; the figure
+readings were reverse-engineered from the published plotted integers (see
+README, "Reproduction notes").  Verification anchors at the first figure's
+origin: 671 = 61*11 (Chiang-Wolf, A(3,5,5) = 61), 891 = 81*11 (rank averaging
+bound, A(3,5,1) = 81) and 1331 = 121*11 (Shiromoto, M = 121).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
-from .bounds import CodeParams, coefficient_A, wyner_graham
+from .bounds import (CodeParams, alderson_huntemann, chiang_wolf_k1, rank_plotkin,
+                     shiromoto_rank_max_d, type_form, wyner_graham, z4_singleton)
 from .codes import LinearCode
 from .ring import Modulus
 from .search import SearchSpace, max_lee_distance_census
@@ -49,8 +43,19 @@ FIGURE_SPECS = {
     3: (Modulus(5, 5), 10),
 }
 
-FIGURE_CURVES = ("chiang_wolf", "rank_plotkin", "wyner_graham",
-                 "shiromoto", "alderson_huntemann")
+
+def _floored(evaluate):
+    return lambda params: math.floor(evaluate(params))
+
+
+# The plotted reading of each curve.
+FIGURE_CURVES = {
+    "chiang_wolf": _floored(chiang_wolf_k1),        # the free-rank form
+    "rank_plotkin": lambda params: rank_plotkin(params)["plotted"],  # floor of the product
+    "wyner_graham": _floored(wyner_graham),
+    "shiromoto": shiromoto_rank_max_d,              # tracks K, not ceil(k)
+    "alderson_huntemann": _floored(type_form),      # rational k, no integer-type gate
+}
 
 K2_RANGE = range(16)
 
@@ -67,18 +72,9 @@ def _figure_params(m: Modulus, k1: int, k2: int) -> CodeParams:
 def figure_points(fig_id: int) -> dict[str, list[int]]:
     """The five plotted curves of one figure, 16 integer points each."""
     m, k1 = FIGURE_SPECS[fig_id]
-    out: dict[str, list[int]] = {name: [] for name in FIGURE_CURVES}
-    a_top = coefficient_A(m, m.s)
-    a_one = coefficient_A(m, 1)
-    for k2 in K2_RANGE:
-        params = _figure_params(m, k1, k2)
-        n, K, k = params.n, params.K, params.k
-        out["chiang_wolf"].append(math.floor(a_top * (n - k1 + 1)))
-        out["rank_plotkin"].append(math.floor(a_one * (n - K + 1)))
-        out["wyner_graham"].append(math.floor(wyner_graham(params)))
-        out["shiromoto"].append(m.M * (n - K + 1))
-        out["alderson_huntemann"].append(math.floor(Fraction(m.M) * (n - k)))
-    return out
+    points = [_figure_params(m, k1, k2) for k2 in K2_RANGE]
+    return {name: [read(params) for params in points]
+            for name, read in FIGURE_CURVES.items()}
 
 
 def figure_csv(fig_id: int) -> str:
@@ -92,9 +88,19 @@ def figure_csv(fig_id: int) -> str:
 
 # -- the Z/4 table ---------------------------------------------------------------
 
-TABLE_COLUMNS = ("z4_singleton", "shiromoto", "shiromoto_rank",
-                 "alderson_huntemann", "wyner_graham", "chiang_wolf",
-                 "rank_plotkin")
+# The published reading of each column; None leaves the cell empty.
+TABLE_COLUMNS = {
+    "z4_singleton": z4_singleton,
+    "shiromoto": lambda params: math.floor(type_form(params)) + 1,  # original type-k form
+    "shiromoto_rank": shiromoto_rank_max_d,
+    "alderson_huntemann": alderson_huntemann,
+    "wyner_graham": _floored(wyner_graham),
+    # the free-rank form on every free row, k = 1 included
+    "chiang_wolf": lambda params: math.floor(chiang_wolf_k1(params)) if params.is_free else None,
+    # level s on free rows, level 1 otherwise
+    "rank_plotkin": lambda params: rank_plotkin(
+        replace(params, ell=params.modulus.s if params.is_free else 1))["plotted"],
+}
 
 
 def reference_table() -> dict:
@@ -105,24 +111,6 @@ def reference_table() -> dict:
 def _row_subtype(row: dict) -> tuple[int, int]:
     k1 = row["k1"]
     return (k1, row["K"] - k1)
-
-
-def computed_cells(params: CodeParams) -> dict[str, int | None]:
-    """One table row of bound values under the pinned table conventions."""
-    m = params.modulus
-    n, k, K, k1 = params.n, params.k, params.K, params.k1
-    cells: dict[str, int | None] = {}
-    cells["z4_singleton"] = math.floor(2 * (n - k)) + 1
-    cells["shiromoto"] = math.floor(Fraction(m.M) * (n - k)) + 1
-    cells["shiromoto_rank"] = m.M * (n - K + 1)
-    cells["alderson_huntemann"] = (m.M * (n - int(k))
-                                   if k.denominator == 1 and 1 < k < n else None)
-    cells["wyner_graham"] = math.floor(wyner_graham(params))
-    cells["chiang_wolf"] = (math.floor(coefficient_A(m, m.s) * (n - k1 + 1))
-                            if params.is_free else None)
-    level = m.s if params.is_free else 1
-    cells["rank_plotkin"] = math.floor(coefficient_A(m, level) * (n - K + 1))
-    return cells
 
 
 @dataclass
@@ -155,7 +143,7 @@ def table_rows(run_census: bool = True) -> list[dict]:
         if run_census:
             space = SearchSpace(m, ref["n"], _row_subtype(ref))
             row["max_d"] = max_lee_distance_census(space).max_d
-        row.update(computed_cells(params))
+        row.update((col, read(params)) for col, read in TABLE_COLUMNS.items())
         rows.append(row)
     return rows
 
@@ -166,7 +154,7 @@ def table_report(run_census: bool = True) -> TableReport:
     rows = table_rows(run_census=run_census)
     mismatches = []
     for idx, (computed, published) in enumerate(zip(rows, ref["rows"]), start=1):
-        keys = TABLE_COLUMNS + (("max_d",) if run_census else ())
+        keys = [*TABLE_COLUMNS, *(("max_d",) if run_census else ())]
         for col in keys:
             if computed[col] != published[col]:
                 mismatches.append(TableMismatch(

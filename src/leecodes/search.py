@@ -16,20 +16,21 @@ table lookup.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .bounds import CodeParams, coefficient_A, evaluate_bounds
-from .codes import BudgetError, LinearCode, word_profiles
+from .bounds import BOUNDS, CodeParams, rank_plotkin, type_form
+from .codes import BudgetError, LinearCode, coefficient_grid, word_profiles
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
+ENUMERATION_CHUNK = 4096      # generators decoded at a time by enumerate_codes
 EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
 
 __all__ = [
@@ -112,7 +113,7 @@ class SearchSpace:
         count = self.candidate_count()
         if count > self.budget:
             raise BudgetError(
-                f"space {self} has {count} candidate generators, over the "
+                f"space {self} has {count} codes, over the "
                 f"census budget of {self.budget}")
 
     def __str__(self):
@@ -153,30 +154,28 @@ def _placement_slots(space: SearchSpace, placement):
     return base, slots
 
 
+def _generator_chunks(space: SearchSpace, chunk: int, placements=None):
+    """Yield the standard generators of the space as (B, K, n) tensors of at
+    most `chunk` each, placement by placement, the last slot fastest.  The
+    zero-code space yields one all-zero (1, 1, n) generator."""
+    space.check_budget()
+    for placement in (space.placements() if placements is None else placements):
+        base, slots = _placement_slots(space, placement)
+        total = math.prod(radix for (_, _, _, radix) in slots)
+        for start in range(0, total, chunk):
+            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+            G = np.repeat(base[None, :, :], len(rem), axis=0)
+            for (row, col, scale, radix) in reversed(slots):
+                G[:, row, col] = (rem % radix) * scale   # below p^s = q
+                rem //= radix
+            yield G
+
+
 def enumerate_codes(space: SearchSpace):
     """Yield every code of the subtype exactly once, as LinearCode."""
-    space.check_budget()
-    m = space.modulus
-    if space.rank == 0:
-        yield LinearCode.zero(m, space.n)
-        return
-    for placement in space.placements():
-        base, slots = _placement_slots(space, placement)
-        for digits in itertools.product(*[range(r) for (_, _, _, r) in slots]):
-            g = base.copy()
-            for (row, col, scale, _), d in zip(slots, digits):
-                g[row, col] = (d * scale) % m.q
-            yield LinearCode.from_generator(m, g.tolist(), n=space.n)
-
-
-def _coefficient_grid(space: SearchSpace) -> np.ndarray:
-    """All coefficient tuples, zero word first; shape (|C|, K)."""
-    p, s = space.modulus.p, space.modulus.s
-    orders = []
-    for i, k in enumerate(space.subtype, start=1):
-        orders.extend([p ** (s + 1 - i)] * k)
-    grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    for G in _generator_chunks(space, ENUMERATION_CHUNK):
+        for g in G:
+            yield LinearCode.from_generator(space.modulus, g.tolist(), n=space.n)
 
 
 def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=None):
@@ -186,41 +185,28 @@ def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=Non
     The codeword tensor of a chunk is one matrix product of the coefficient
     grid with the stacked generators; when every entry of that product stays
     below 2^24 the product runs in float32 (exact, and BLAS-fast)."""
-    space.check_budget()
     m = space.modulus
     q = m.q
     K, n = space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
-    U = _coefficient_grid(space)
+    p, s = m.p, m.s
+    U = coefficient_grid([p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1)
+                          for _ in range(k)])
     card = U.shape[0]
     use_f32 = K * (q - 1) * (q - 1) < 2**24
     Uf = U.astype(np.float32) if use_f32 else U
-    chunk = max(1, chunk_cells // (card * n))
-    for placement in (space.placements() if placements is None else placements):
-        base, slots = _placement_slots(space, placement)
-        radices = [r for (_, _, _, r) in slots]
-        total = 1
-        for r in radices:
-            total *= r
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            G = np.repeat(base[None, :, :], len(idx), axis=0)
-            rem = idx.copy()
-            for (row, col, scale, radix) in reversed(slots):
-                digit = rem % radix
-                rem //= radix
-                G[:, row, col] = (digit * scale) % q
-            if use_f32:
-                flat = G.astype(np.float32).transpose(1, 0, 2).reshape(K, -1)
-                words = (Uf @ flat).astype(np.int32) % q
-            else:
-                flat = G.transpose(1, 0, 2).reshape(K, -1)
-                words = (U @ flat) % q
-            lee = np.minimum(words, q - words)
-            dsum = lee.reshape(card, len(idx), n).sum(axis=2)
-            d = dsum[1:].min(axis=0)
-            yield G, d
+    for G in _generator_chunks(space, max(1, chunk_cells // (card * n)), placements):
+        if use_f32:
+            flat = G.astype(np.float32).transpose(1, 0, 2).reshape(K, -1)
+            words = (Uf @ flat).astype(np.int32) % q
+        else:
+            flat = G.transpose(1, 0, 2).reshape(K, -1)
+            words = (U @ flat) % q
+        lee = np.minimum(words, q - words)
+        dsum = lee.reshape(card, len(G), n).sum(axis=2)
+        d = dsum[1:].min(axis=0)
+        yield G, d
 
 
 @dataclass
@@ -262,25 +248,20 @@ class CensusResult:
         return json.dumps(doc, indent=2)
 
 
+def _attainment_test(params: CodeParams, bound_id: str):
+    """The attainment predicate of one bound on an array of distances, with
+    the bound's value taken once; None where the bound does not apply."""
+    bound = BOUNDS[bound_id]
+    cell = bound.cell(params)
+    return functools.partial(bound.attained, params, cell.floored) if cell.applicable else None
+
+
 def _attainment_tests(space: SearchSpace):
-    """Vectorisable attainment predicates per applicable bound id."""
+    """The attainment predicate on an array of d_L per applicable Lee bound."""
     params = space.params
-    m = space.modulus
-    cells = evaluate_bounds(params)
-    tests = {}
-    for name, cell in cells.items():
-        if not cell.applicable or name in ("singleton_hamming", "singleton_rank"):
-            continue
-        if name == "shiromoto":
-            rhs = params.n - params.ceil_k
-            tests[name] = lambda d, rhs=rhs: (d - 1) // m.M == rhs
-        elif name == "shiromoto_rank":
-            rhs = params.n - params.K
-            tests[name] = lambda d, rhs=rhs: (d - 1) // m.M == rhs
-        else:
-            target = cell.floored
-            tests[name] = lambda d, target=target: d == target
-    return tests
+    tests = {name: _attainment_test(params, name)
+             for name, bound in BOUNDS.items() if not bound.hamming}
+    return {name: test for name, test in tests.items() if test is not None}
 
 
 def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult:
@@ -376,10 +357,10 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_0
         for i in reversed(range(K)):
             tuples[:, i] = pools[i][idx % sizes[i]]
             idx //= sizes[i]
-        hits = (_sorted_columns(tuples, m.q) == target).all(axis=(1, 2))
-        for tup in tuples[hits]:
-            if LinearCode.from_generator(m, tup.tolist(), n=a.n).cardinality == b.cardinality:
-                return True
+        # a match is a signed permutation of a's rows inside b, so it spans
+        # |a| = |b| codewords: all of b
+        if (_sorted_columns(tuples, m.q) == target).all(axis=(1, 2)).any():
+            return True
     return False
 
 
@@ -413,9 +394,7 @@ def verify_mds_socle(code: LinearCode) -> bool:
     n = code.n
     if K == n:
         return True  # distance 1 == n - n + 1
-    grids = np.meshgrid(*[np.arange(p)] * K, indexing="ij")
-    coeffs = np.stack([g.reshape(-1) for g in grids], axis=1)
-    words = (coeffs @ mat) % p
+    words = (coefficient_grid([p] * K) @ mat) % p
     wh = (words != 0).sum(axis=1)
     d = int(wh[wh > 0].min())
     return d == n - K + 1
@@ -526,11 +505,10 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     for m in rings:
         for space in _spaces(m, n_max, budget):
             params = space.params
-            strict_min = math.floor(Fraction(m.M) * (params.n - params.k)) + 1
-            ceil_rhs = params.n - params.ceil_k
+            strict_min = math.floor(type_form(params)) + 1
             hits, _, count, top, ceil_hits = _scan_attainers(
                 space, lambda d, t=strict_min: d >= t,
-                secondary=lambda d, r=ceil_rhs: (d - 1) // m.M == r)
+                secondary=_attainment_test(params, "shiromoto"))
             examined += count
             space_max.append({"p": m.p, "s": m.s, "n": space.n,
                               "subtype": space.subtype, "max_d": top})
@@ -539,21 +517,21 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             for c in codes:
                 if not allowed(m, c):
                     extra.append(f"{space}: {list(c.rows)}")
-            if ceil_rhs > 0:
+            if params.ceil_k < params.n:
                 for c in dedup_codes([LinearCode.from_generator(m, g.tolist(), n=space.n)
                                       for g in ceil_hits]):
                     if not allowed(m, c):
                         ceiling_extras.append(f"{space}: {list(c.rows)}")
     # the named witnesses must themselves attain the strict form
-    def strictly_attains(m: Modulus, c: LinearCode) -> bool:
-        return c.min_lee_distance() > Fraction(m.M) * (c.n - c.type_k)
+    def strictly_attains(c: LinearCode) -> bool:
+        return c.min_lee_distance() > type_form(CodeParams.from_code(c))
 
     for m in rings:
-        if m.q == 5 and n_max >= 2 and not strictly_attains(m, witness):
+        if m.q == 5 and n_max >= 2 and not strictly_attains(witness):
             missing.append("Z/5 witness <(1,2)>")
         if m.p == 2:
             for n in range(2, n_max + 1):
-                if not strictly_attains(m, _repetition_code(m, n)):
+                if not strictly_attains(_repetition_code(m, n)):
                     missing.append(f"{m} repetition witness at n={n}")
     verdict = "EQUAL" if not extra and not missing else (
         "EXTRA" if extra else "MISSING")
@@ -578,9 +556,8 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
             for space in _spaces(m, n_max, budget):
                 if space.n != n:
                     continue
-                params = space.params
-                target = math.floor(2 * (params.n - params.k)) + 1
-                hits, _, count, _, _ = _scan_attainers(space, lambda d, t=target: d == t)
+                hits, _, count, _, _ = _scan_attainers(
+                    space, _attainment_test(space.params, "z4_singleton"))
                 examined += count
                 found.extend(LinearCode.from_generator(m, g.tolist(), n=n) for g in hits)
             for c in found:
@@ -601,10 +578,8 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
     witness = LinearCode.from_generator(Modulus(5, 1), [[1, 2]])
     for m in rings:
         for space in _spaces(m, n_max, budget):
-            params = space.params
-            rhs = params.n - params.K
-            test = lambda d, rhs=rhs: (d - 1) // m.M == rhs
-            if rhs == 0:
+            test = _attainment_test(space.params, "shiromoto_rank")
+            if space.rank == space.n:
                 _, violations, count, _, _ = _scan_attainers(space, test)
                 vacuous_failures += violations
                 examined += count
@@ -635,15 +610,14 @@ def _check_alderson(rings, n_max, budget) -> dict:
     for m in rings:
         for space in _spaces(m, n_max, budget):
             params = space.params
-            if params.k.denominator != 1 or not (1 < params.k < params.n):
+            test = _attainment_test(params, "alderson_huntemann")
+            if test is None:
                 continue
-            k = int(params.k)
-            target = m.M * (params.n - k)
-            hits, _, count, _, _ = _scan_attainers(space, lambda d, t=target: d == t)
+            hits, _, count, _, _ = _scan_attainers(space, test)
             examined += count
             if not hits:
                 continue
-            n, K, free = params.n, params.K, params.is_free
+            n, K, k, free = params.n, params.K, int(params.k), params.is_free
             if m.p != 2:
                 ok = (m.q == 5 and k + 1 <= n <= k + 3) or \
                      (free and m.q in (7, 9) and n == k + 1)
@@ -667,14 +641,14 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     for m in rings:
         if m.p == 2:
             continue
-        a1 = coefficient_A(m, 1)
         for space in _spaces(m, n_max, budget):
             params = space.params
-            bound = a1 * (params.n - params.K + 1)
+            bound = rank_plotkin(params)["value"]
             if bound.denominator != 1:
                 continue  # an integer distance can never meet it exactly
             target = int(bound)
-            hits, _, count, _, _ = _scan_attainers(space, lambda d, t=target: d == t)
+            hits, _, count, _, _ = _scan_attainers(
+                space, _attainment_test(params, "rank_plotkin"))
             examined += count
             attainers += len(hits)
             if not hits:

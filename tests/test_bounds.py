@@ -6,8 +6,7 @@ import pytest
 from leecodes.bounds import (CodeParams, alderson_huntemann, applicable_levels,
                              attainment_check, chiang_wolf, chiang_wolf_k1,
                              coefficient_A, evaluate_bounds, hamming_to_lee,
-                             lee_mdr, rank_plotkin, rank_plotkin_level,
-                             shiromoto_max_d, shiromoto_rank_max_d,
+                             rank_plotkin, shiromoto_max_d, shiromoto_rank_max_d,
                              singleton_hamming, singleton_rank, subcode_plotkin,
                              wyner_graham, z4_singleton)
 from leecodes.codes import LinearCode
@@ -56,9 +55,9 @@ def test_shiromoto_rank_and_mdr():
     assert shiromoto_rank_max_d(P(Z4, 2, 1, 1, 1)) == 4
     assert shiromoto_rank_max_d(P(Z4, 3, 2, 2, 2)) == 4
     assert shiromoto_rank_max_d(P(Z4, 2, 2, 2, 2)) == Z4.M
-    assert lee_mdr(P(Z4, 3, 2, 3, 1)) == 2
-    assert lee_mdr(P(Z4, 3, Fraction(3, 2), 2, 0)) == 4
-    assert lee_mdr(P(Z4, 3, 3, 3, 3)) == 2
+    assert shiromoto_rank_max_d(P(Z4, 3, 2, 3, 1)) == 2
+    assert shiromoto_rank_max_d(P(Z4, 3, Fraction(3, 2), 2, 0)) == 4
+    assert shiromoto_rank_max_d(P(Z4, 3, 3, 3, 3)) == 2
 
 
 def test_alderson_huntemann():
@@ -131,10 +130,9 @@ def test_rank_plotkin_reduces_to_chiang_wolf_for_prime_fields():
 
 
 def test_rank_plotkin_level():
-    assert rank_plotkin_level(P(Z4, 3, 1, 1, 1, ell=2))["plotted"] == 4
-    assert rank_plotkin_level(P(Z4, 4, 1, 1, 1, ell=2))["plotted"] == 5
-    p = P(Z9, 4, 1, 1, 1, ell=1)
-    assert rank_plotkin_level(p) == rank_plotkin(p)
+    assert rank_plotkin(P(Z4, 3, 1, 1, 1, ell=2))["plotted"] == 4
+    assert rank_plotkin(P(Z4, 4, 1, 1, 1, ell=2))["plotted"] == 5
+    assert rank_plotkin(P(Z9, 4, 1, 1, 1, ell=1)) == rank_plotkin(P(Z9, 4, 1, 1, 1))
 
 
 def test_hamming_to_lee():
@@ -218,7 +216,7 @@ def test_level_bound_soundness():
             for ell in applicable_levels(c):
                 assert d_lee <= hamming_to_lee(m, ell, d_ham)
                 level_params = CodeParams.from_code(c, ell=ell)
-                assert d_lee <= rank_plotkin_level(level_params)["plotted"]
+                assert d_lee <= rank_plotkin(level_params)["plotted"]
 
 
 def test_attainment_check_examples():
@@ -230,6 +228,11 @@ def test_attainment_check_examples():
     # the three-generator example attains the rank form
     c = LinearCode.from_generator(Z4, [[0, 1, 1], [2, 0, 0], [0, 0, 2]])
     assert attainment_check(c, "lee_mdr")
+    # unknown and inapplicable bounds are refused
+    with pytest.raises(ValueError, match="unknown"):
+        attainment_check(c, "rank_plotkin_exact")
+    with pytest.raises(ValueError, match="inapplicable"):
+        attainment_check(LinearCode.from_generator(Z5, [[1, 2]]), "z4_singleton")
 
 
 def test_evaluate_bounds_report():

@@ -114,6 +114,10 @@ def test_census_command():
     res = run("census", "--p", "3", "--s", "2", "--n", "4", "--k1", "2", "--k2", "1",
               "--budget", "10")
     assert res.exit_code == 2
+    # a zero budget refuses every space, it does not lift the budget
+    res = run("census", "--p", "5", "--n", "2", "--k1", "1", "--budget", "0")
+    assert res.exit_code == 2
+    assert "has 6 codes" in res.stderr
 
 
 def test_census_equivalence_budget_exits_2(monkeypatch):

@@ -6,6 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from leecodes.bounds import BOUND_IDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
 from leecodes.search import (SearchSpace, all_subtypes, check_characterization,
@@ -167,6 +168,33 @@ def test_census_attainment_counts():
     # every code of the space is counted once: the 6 lines of F_5^2
     assert res.examined == 6
     assert res.attainment_counts["shiromoto"] >= 1
+    # lee_mdr shares shiromoto_rank's value but is attained only at equality
+    for m, n, subtype, counts in [
+            (Z9, 3, (1, 1), {"chiang_wolf_k1": 0, "lee_mdr": 0, "rank_plotkin": 0,
+                             "shiromoto": 4, "shiromoto_rank": 4, "wyner_graham": 0}),
+            (Z9, 3, (0, 1), {"lee_mdr": 0, "rank_plotkin": 4, "shiromoto": 4,
+                             "shiromoto_rank": 4, "wyner_graham": 0}),
+            (Z5, 3, (1,), {"chiang_wolf_k1": 12, "lee_mdr": 0, "rank_plotkin": 12,
+                           "shiromoto": 0, "shiromoto_rank": 0, "wyner_graham": 12})]:
+        assert max_lee_distance_census(SearchSpace(m, n, subtype)).attainment_counts \
+            == counts, (m, n, subtype)
+
+
+def test_census_counts_agree_with_per_code_attainment():
+    # the vectorised census counts against the scalar attainment_check
+    lee_bounds = set(BOUND_IDS) - {"singleton_hamming", "singleton_rank"}
+    for m in (Z4, Z5, Z7, Z8, Z9):
+        for n in (1, 2, 3):
+            for subtype in all_subtypes(m, n):
+                space = SearchSpace(m, n, subtype)
+                cells = evaluate_bounds(space.params)
+                applicable = {name for name in lee_bounds if cells[name].applicable}
+                counts = max_lee_distance_census(space).attainment_counts
+                assert set(counts) == applicable, (m, n, subtype)
+                codes = list(enumerate_codes(space))
+                for name in applicable:
+                    assert counts[name] == sum(attainment_check(c, name) for c in codes), \
+                        (m, n, subtype, name)
 
 
 def test_census_partition_merge():

@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "leecodes"
@@ -15,3 +16,12 @@ def test_library_code_has_no_assert_statements():
                      if isinstance(node, ast.Assert))
     assert list(SOURCE.glob("*.py"))
     assert not found, found
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(f"leecodes.{path.stem}".replace(".__init__", ""))
+        missing.extend(f"{path.name}: {name}" for name in getattr(module, "__all__", ())
+                       if not hasattr(module, name))
+    assert not missing, missing
