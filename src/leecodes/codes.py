@@ -280,13 +280,20 @@ class LinearCode:
             yield RingVector(self.modulus, tuple(word))
 
     def codeword_array(self, budget: int | None = None) -> np.ndarray:
-        """All codewords as a (|C|, n) integer array, same order as codewords()."""
+        """All codewords as a read-only (|C|, n) integer array, same order as
+        codewords(); built once per code."""
         self._check_budget(budget)
-        q = self.modulus.q
+        return self._codeword_array
+
+    @cached_property
+    def _codeword_array(self) -> np.ndarray:
         if not self.rows:
-            return np.zeros((1, self.n), dtype=np.int64)
-        gen = np.array(self.rows, dtype=np.int64)
-        return (coefficient_grid(self.row_orders) @ gen) % q
+            words = np.zeros((1, self.n), dtype=np.int64)
+        else:
+            gen = np.array(self.rows, dtype=np.int64)
+            words = (coefficient_grid(self.row_orders) @ gen) % self.modulus.q
+        words.flags.writeable = False
+        return words
 
     @cached_property
     def _lee_weights(self) -> np.ndarray:
@@ -304,9 +311,7 @@ class LinearCode:
         """Hashable invariants under signed coordinate permutations: modulus,
         length, subtype, support subtype and the multiset of codeword
         profiles (which fixes the Lee weight enumerator)."""
-        # not from codeword_profiles: a code whose key is all that is asked
-        # for then keeps no per-codeword array
-        profiles = word_profiles(self.modulus, self.codeword_array())
+        profiles = self.codeword_profiles
         profiles = profiles[np.lexsort(profiles.T[::-1])]
         firsts = np.flatnonzero(np.r_[True, (profiles[1:] != profiles[:-1]).any(axis=1)])
         counts = np.diff(firsts, append=len(profiles))

@@ -12,6 +12,14 @@ The scan itself is vectorised: codes are materialised in chunks as a
 (B, K, n) tensor, all codewords of a chunk are produced by one contraction
 with the fixed coefficient grid, and minimum Lee distances fall out of a
 table lookup.
+
+Optima and attainers are merged straight from the scan's generator tensor:
+each code is keyed by its sorted codeword encodings, and the images of all
+codes under each generator of the signed-permutation group are looked up
+among those keys.  Every predicate kept reads d_L only, so the kept set of a
+whole space is closed under the group and its orbit components are its
+classes.  The component roots then pass through dedup_codes, whose exact
+pairwise check runs only between roots that share an invariant key.
 """
 
 from __future__ import annotations
@@ -178,6 +186,15 @@ def enumerate_codes(space: SearchSpace):
             yield LinearCode.from_generator(space.modulus, g.tolist(), n=space.n)
 
 
+def _space_grid(space: SearchSpace) -> np.ndarray:
+    """The coefficient grid of the space's standard generators: row i of
+    block j takes p^(s+1-j) coefficients, so grid @ G lists each codeword of
+    the code generated by G once."""
+    p, s = space.modulus.p, space.modulus.s
+    return coefficient_grid([p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1)
+                             for _ in range(k)])
+
+
 def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=None):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
     (B, K, n) and their minimum Lee distances (B,).
@@ -190,9 +207,7 @@ def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=Non
     K, n = space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
-    p, s = m.p, m.s
-    U = coefficient_grid([p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1)
-                          for _ in range(k)])
+    U = _space_grid(space)
     card = U.shape[0]
     use_f32 = K * (q - 1) * (q - 1) < 2**24
     Uf = U.astype(np.float32) if use_f32 else U
@@ -264,6 +279,13 @@ def _attainment_tests(space: SearchSpace):
     return {name: test for name, test in tests.items() if test is not None}
 
 
+def _stack(space: SearchSpace, blocks: list[np.ndarray]) -> np.ndarray:
+    """Generator blocks from the scan as one (B, K, n) tensor; B may be 0."""
+    if blocks:
+        return np.concatenate(blocks)
+    return np.zeros((0, space.rank, space.n), dtype=np.int64)
+
+
 def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult:
     """True maximal minimum Lee distance over the space, with the optimal
     codes retained (deduplicated up to signed-permutation equivalence).
@@ -273,7 +295,6 @@ def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult
     partial results recombine with CensusResult.merge independently of
     completion order.
     """
-    m = space.modulus
     tests = _attainment_tests(space)
     counts = Counter()
     examined = 0
@@ -288,10 +309,9 @@ def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult
             max_d = top
             best = []
         if top == max_d:
-            for g in G[d == max_d]:
-                best.append(g.copy())
-    codes = [LinearCode.from_generator(m, g.tolist(), n=space.n) for g in best]
-    return CensusResult(space, max_d, dedup_codes(codes), examined, dict(counts))
+            best.append(G[d == max_d])
+    codes = _dedup_generators(space, _stack(space, best))
+    return CensusResult(space, max_d, codes, examined, dict(counts))
 
 
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
@@ -301,13 +321,8 @@ def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     if bound_id not in tests:
         raise ValueError(f"bound {bound_id!r} not applicable to {space}")
     test = tests[bound_id]
-    m = space.modulus
-    hits: list[np.ndarray] = []
-    for G, d in scan_space(space):
-        for g in G[test(d)]:
-            hits.append(g.copy())
-    codes = [LinearCode.from_generator(m, g.tolist(), n=space.n) for g in hits]
-    return dedup_codes(codes)
+    hits = [G[test(d)] for G, d in scan_space(space)]
+    return _dedup_generators(space, _stack(space, hits))
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -365,10 +380,14 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_0
 
 
 def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
-    """One representative per signed-permutation class, preserving order.
+    """One representative per signed-permutation class, preserving order:
+    the first-seen member of each class, in input order.
 
     Each code is compared only with the representatives that share its
-    invariant key; all others are inequivalent to it."""
+    invariant key; all others are inequivalent to it.  The scans' optima
+    and attainers reach this only as the roots left by _dedup_generators,
+    so a comparison happens only when two classes share a key that the
+    orbit walk did not join."""
     if len(codes) < 2:
         return list(codes)  # nothing to compare, so no key to compute
     unique: list[LinearCode] = []
@@ -379,6 +398,74 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
             bucket.append(c)
             unique.append(c)
     return unique
+
+
+def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
+    """For each code generated by G (B, K, n), the least index of a code it
+    is joined to by a chain of group generators or by an equal key.
+
+    A code's key is the sorted array of its codeword encodings sum_j w_j q^j,
+    exact in int64 while q^n < 2^63.  The group generators are the n - 1
+    adjacent transpositions and the sign flip of coordinate 0; the image of
+    every code under one of them is keyed at once and looked up among the
+    input keys."""
+    q, n, B = space.modulus.q, space.n, len(G)
+    U = _space_grid(space)
+    small = np.min_scalar_type(q - 1)
+    # codeword column j of every code, (B, |C|), one column at a time
+    cols = [((G[:, :, j] @ U.T) % q).astype(small) for j in range(n)]
+    enc = np.zeros((B, len(U)), dtype=np.int64)
+    for j, col in enumerate(cols):
+        enc += col * np.int64(q ** j)
+    row = np.dtype((np.void, enc.shape[1] * enc.itemsize))
+    keys = np.sort(enc, axis=1).view(row).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    same = np.flatnonzero(keys[1:] == keys[:-1])
+    heads, tails = [order[same]], [order[same + 1]]
+    for j in range(n):
+        if j + 1 < n:   # swap coordinates j and j + 1
+            image = cols[j + 1].astype(np.int64)
+            image -= cols[j]
+            image *= q ** j - q ** (j + 1)
+        else:           # negate coordinate 0
+            image = (q - cols[0].astype(np.int64)) % q - cols[0]
+        image += enc
+        image.sort(axis=1)
+        image = image.view(row).ravel()
+        pos = np.minimum(np.searchsorted(keys, image), B - 1)
+        hit = np.flatnonzero(keys[pos] == image)
+        heads.append(hit)
+        tails.append(order[pos[hit]])
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    label = np.arange(B)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
+    """dedup_codes over the codes generated by G (B, K, n), building a
+    LinearCode only for one code per orbit component.
+
+    Codes joined by _orbit_labels are equivalent, so only the least index
+    of each component can be a first-seen representative.  A set closed
+    under the group, such as the optimal or attaining codes of a whole
+    space, has its classes as components; otherwise (a subset of the
+    placements, or q^n past the int64 keys, where no code is joined) the
+    roots still go through dedup_codes, so the result is exact either way."""
+    m, n, B = space.modulus, space.n, len(G)
+    if B > 1 and m.q ** n <= 2**63 - 1:
+        roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B))
+    else:
+        roots = range(B)
+    return dedup_codes([LinearCode.from_generator(m, G[i].tolist(), n=n) for i in roots])
 
 
 # -- socle MDS -----------------------------------------------------------------
@@ -413,8 +500,9 @@ def all_subtypes(m: Modulus, n: int, min_rank: int = 1):
 def _scan_attainers(space: SearchSpace, test, secondary=None):
     """Collect generator matrices passing `test` on the minimum distance.
 
-    Returns (hits, violations, examined, max_d, secondary_hits); `secondary`
-    is an optional second predicate evaluated in the same pass."""
+    Returns (hits, violations, examined, max_d, secondary_hits), the hits as
+    (B, K, n) tensors; `secondary` is an optional second predicate evaluated
+    in the same pass."""
     hits = []
     sec_hits = []
     violations = 0
@@ -424,13 +512,11 @@ def _scan_attainers(space: SearchSpace, test, secondary=None):
         examined += len(d)
         max_d = max(max_d, int(d.max()))
         mask = test(d)
-        for g in G[mask]:
-            hits.append(g.copy())
+        hits.append(G[mask])
         violations += int((~mask).sum())
         if secondary is not None:
-            for g in G[secondary(d)]:
-                sec_hits.append(g.copy())
-    return hits, violations, examined, max_d, sec_hits
+            sec_hits.append(G[secondary(d)])
+    return _stack(space, hits), violations, examined, max_d, _stack(space, sec_hits)
 
 
 def check_characterization(theorem_id: str, rings, n_max: int,
@@ -512,14 +598,11 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             examined += count
             space_max.append({"p": m.p, "s": m.s, "n": space.n,
                               "subtype": space.subtype, "max_d": top})
-            codes = dedup_codes([LinearCode.from_generator(m, g.tolist(), n=space.n)
-                                 for g in hits])
-            for c in codes:
+            for c in _dedup_generators(space, hits):
                 if not allowed(m, c):
                     extra.append(f"{space}: {list(c.rows)}")
             if params.ceil_k < params.n:
-                for c in dedup_codes([LinearCode.from_generator(m, g.tolist(), n=space.n)
-                                      for g in ceil_hits]):
+                for c in _dedup_generators(space, ceil_hits):
                     if not allowed(m, c):
                         ceiling_extras.append(f"{space}: {list(c.rows)}")
     # the named witnesses must themselves attain the strict form
@@ -586,9 +669,7 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
                 continue
             hits, _, count, _, _ = _scan_attainers(space, test)
             examined += count
-            codes = dedup_codes([LinearCode.from_generator(m, g.tolist(), n=space.n)
-                                 for g in hits])
-            for c in codes:
+            for c in _dedup_generators(space, hits):
                 if m.p != 2:
                     if m.q == 5 and c.n == 2 and signed_perm_equivalent(c, witness):
                         continue
@@ -615,7 +696,7 @@ def _check_alderson(rings, n_max, budget) -> dict:
                 continue
             hits, _, count, _, _ = _scan_attainers(space, test)
             examined += count
-            if not hits:
+            if not len(hits):
                 continue
             n, K, k, free = params.n, params.K, int(params.k), params.is_free
             if m.p != 2:
@@ -626,9 +707,8 @@ def _check_alderson(rings, n_max, budget) -> dict:
                      (free and m.s == 3 and n == k + 1) or \
                      (k + 1 == K and K in (n, n - 1))
             if not ok:
-                codes = dedup_codes([LinearCode.from_generator(m, g.tolist(), n=space.n)
-                                     for g in hits])
-                extra.extend(f"{space}: {list(c.rows)}" for c in codes)
+                extra.extend(f"{space}: {list(c.rows)}"
+                             for c in _dedup_generators(space, hits))
     verdict = "EQUAL" if not extra else "EXTRA"
     return {"theorem": "alderson_huntemann", "verdict": verdict, "extra": extra,
             "examined": examined}
@@ -651,7 +731,7 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
                 space, _attainment_test(params, "rank_plotkin"))
             examined += count
             attainers += len(hits)
-            if not hits:
+            if not len(hits):
                 continue
             n, K = params.n, params.K
             p, s = m.p, m.s

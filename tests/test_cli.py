@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -120,12 +124,33 @@ def test_census_command():
     assert "has 6 codes" in res.stderr
 
 
+def test_census_of_many_equivalent_optima():
+    # 32 optimal codes in one class; a pairwise search once refused this
+    res = run("census", "--p", "3", "--n", "6", "--k1", "5")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["max_lee_distance"] == 2 and len(doc["optimal_generators"]) == 1
+
+
+def test_python_m_runs_from_a_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "leecodes", "census", "--p", "5",
+                           "--n", "2", "--k1", "1"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["max_lee_distance"] == 3
+
+
 def test_census_equivalence_budget_exits_2(monkeypatch):
     # an equivalence check past its search cap is a budget refusal as well;
-    # Z/5 n=2 keeps <(1,2)> and <(1,3)>, whose check has 4 candidate tuples
+    # Z/8 n=4 subtype (1,1,1) has 49 classes of optima, two of which share
+    # an invariant key, and their check spans 96 candidate tuples
     from leecodes import search
     monkeypatch.setattr(search.signed_perm_equivalent, "__defaults__", (1,))
-    res = run("census", "--p", "5", "--n", "2", "--k1", "1")
+    res = run("census", "--p", "2", "--s", "3", "--n", "4", "--k1", "1", "--k2", "1",
+              "--k3", "1")
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert "error: equivalence search space too large" in res.stderr

@@ -132,6 +132,13 @@ def test_codeword_budget():
     with pytest.raises(BudgetError):
         list(c.codewords())
     assert len(list(c.codewords(budget=100))) == 64
+    # the codeword array is built once and shared read-only; the budget is
+    # still checked on every call
+    words = c.codeword_array(budget=100)
+    assert words.shape == (64, 2) and not words.flags.writeable
+    assert c.codeword_array(budget=100) is words
+    with pytest.raises(BudgetError):
+        c.codeword_array()
 
 
 def test_min_distance_examples():

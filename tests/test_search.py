@@ -9,11 +9,13 @@ import pytest
 from leecodes.bounds import BOUND_IDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
-from leecodes.search import (SearchSpace, all_subtypes, check_characterization,
-                             dedup_codes, enumerate_codes, find_attaining_codes,
-                             max_lee_distance_census, scan_space,
+from leecodes.search import (SearchSpace, _dedup_generators, all_subtypes,
+                             check_characterization, dedup_codes, enumerate_codes,
+                             find_attaining_codes, max_lee_distance_census, scan_space,
                              signed_perm_equivalent, verify_mds_socle)
 
+Z2 = Modulus(2, 1)
+Z3 = Modulus(3, 1)
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
 Z7 = Modulus(7, 1)
@@ -152,6 +154,17 @@ def test_census_examples():
     assert max_lee_distance_census(SearchSpace(Z5, 2, (1,))).max_d == 3
 
 
+def test_census_of_many_optima_in_one_class():
+    # the 32 optimal codes of Z/3 n=6 subtype (5,) are the duals of the
+    # full-weight +-1 vectors up to global sign, all joined by sign flips; a
+    # pairwise search between two of them spans 24.3 M generator tuples
+    res = max_lee_distance_census(SearchSpace(Z3, 6, (5,)))
+    assert res.max_d == 2 and len(res.optimal_codes) == 1
+    dual = res.optimal_codes[0].dual()
+    assert dual.rank == 1 and all(e in (1, 2) for e in dual.rows[0])
+    assert len(max_lee_distance_census(SearchSpace(Z2, 7, (5,))).optimal_codes) == 7
+
+
 def test_census_determinism_and_json():
     a = max_lee_distance_census(SearchSpace(Z4, 3, (0, 1)))
     b = max_lee_distance_census(SearchSpace(Z4, 3, (0, 1)))
@@ -259,6 +272,32 @@ def test_dedup_codes():
     assert len(kept) == 2 and kept[0] is c and kept[1] is b
 
 
+def test_dedup_joins_codes_the_orbit_walk_cannot_reach():
+    # <(1,2,3)> and <(3,2,1)> = <(1,3,5)> differ by the transposition of
+    # coordinates 0 and 2 only; no code between them is in the input, so only
+    # the pairwise step joins them
+    a, b, c = [[1, 2, 3]], [[1, 3, 5]], [[1, 1, 0]]
+    kept = _dedup_generators(SearchSpace(Z7, 3, (1,)), np.array([a, b, c]))
+    assert [k.rows for k in kept] == [((1, 2, 3),), ((1, 1, 0),)]
+    codes = [LinearCode.from_generator(Z7, g) for g in (a, b, c)]
+    assert [k.rows for k in dedup_codes(codes)] == [((1, 2, 3),), ((1, 1, 0),)]
+
+
+def test_dedup_past_exact_int64_keys():
+    # over Z/4 at n = 33, q^n = 2^66: coordinate 32 would weigh 4^32 = 2^64,
+    # which vanishes in int64, so <e_0> and <e_0 + e_32> would share a key;
+    # such inputs skip the orbit walk and are compared pairwise
+    n = 33
+    gens = np.zeros((4, 1, n), dtype=np.int64)
+    gens[0, 0, :2] = (1, 2)
+    gens[1, 0, :2] = (2, 1)        # a swap of the first
+    gens[2, 0, 0] = 1
+    gens[3, 0, [0, n - 1]] = 1
+    kept = _dedup_generators(SearchSpace(Z4, n, (1, 0)), gens)
+    assert [k.given_rows for k in kept] == [tuple(map(tuple, gens[i].tolist()))
+                                           for i in (0, 2, 3)]
+
+
 def _orbit_key(code):
     """The least sorted tuple of codeword encodings over all n! 2^(n-1)
     signed permutations (the global sign maps a code onto itself), so two
@@ -272,15 +311,22 @@ def _orbit_key(code):
 
 
 def test_dedup_codes_keeps_one_code_per_orbit():
+    # a whole space is closed under the group, so _dedup_generators joins its
+    # classes by the orbit walk; dedup_codes compares the codes pairwise
     total = 0
     for m in (Z4, Z5, Z7, Z8, Z9):
         for n in (1, 2, 3):
             for subtype in all_subtypes(m, n):
-                codes = list(enumerate_codes(SearchSpace(m, n, subtype)))
+                space = SearchSpace(m, n, subtype)
+                codes = list(enumerate_codes(space))
                 total += len(codes)
-                kept = [_orbit_key(c) for c in dedup_codes(codes)]
+                unique = dedup_codes(codes)
+                kept = [_orbit_key(c) for c in unique]
                 assert len(set(kept)) == len(kept), (m, n, subtype)
                 assert set(kept) == {_orbit_key(c) for c in codes}, (m, n, subtype)
+                G = np.concatenate([G for G, _ in scan_space(space)])
+                assert [c.rows for c in _dedup_generators(space, G)] \
+                    == [c.rows for c in unique], (m, n, subtype)
     assert total == 1648
 
 
