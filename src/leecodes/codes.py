@@ -59,9 +59,6 @@ class CodeMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64).reshape(self.nrows, self.ncols)
-
 
 def _row_reduce(m: Modulus, rows: list[list[int]]):
     """Reduce generator rows; returns (pivot rows, pivots) with pivots[t] = (col, val).

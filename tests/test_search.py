@@ -1,11 +1,13 @@
+import ast
 import itertools
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from leecodes import search
 from leecodes.bounds import BOUND_IDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
@@ -21,6 +23,7 @@ Z5 = Modulus(5, 1)
 Z7 = Modulus(7, 1)
 Z8 = Modulus(2, 3)
 Z9 = Modulus(3, 2)
+Z27 = Modulus(3, 3)
 
 
 def test_space_validation_and_counts():
@@ -345,6 +348,36 @@ def test_characterization_rank2_equidistant_small():
     rep = check_characterization("rank2_equidistant", [Z9], 4)
     assert rep["verdict"] == "EQUAL"
     assert rep["generators_scanned"] > 0
+    with pytest.raises(BudgetError):   # Z/9 n=4 holds 1,080 free cyclic codes
+        check_characterization("rank2_equidistant", [Z9], 4, budget=1_000)
+
+
+@pytest.mark.parametrize("m, n_max, scanned", [(Z9, 6, 99_463), (Z27, 3, 1_220)])
+def test_characterization_rank2_equidistant_scans_each_cyclic_code_once(m, n_max, scanned):
+    p, s = m.p, m.s
+    spaces = [SearchSpace(m, n, tuple(int(i == v) for i in range(s)))
+              for n in range(1, n_max + 1) for v in range(s - 1)]
+    # words of valuation v, over the p^(s-v-1)(p-1) unit multiples giving each code
+    words = sum((p ** ((s - v) * n) - p ** ((s - v - 1) * n)) // (p ** (s - v - 1) * (p - 1))
+                for n in range(1, n_max + 1) for v in range(s - 1))
+    rep = check_characterization("rank2_equidistant", [m], n_max)
+    assert rep["verdict"] == "EQUAL" and rep["survivors"] == 0
+    assert rep["generators_scanned"] == sum(sp.candidate_count() for sp in spaces) \
+        == words == scanned
+
+
+def test_characterization_rank2_equidistant_p2_survivors_are_cyclic_codes():
+    # the single-generator reduction is only sufficient: over Z/4 at n = 3 it
+    # lists Lee-equidistant cyclic codes, which are no rank-2 counterexamples
+    rep = check_characterization("rank2_equidistant", [Z4], 3)
+    assert rep["verdict"] == "EXTRA" and rep["survivors"] == len(rep["extra"]) == 6
+    codes = set()
+    for entry in rep["extra"]:
+        assert entry.startswith("Z/2^2, n=3: cyclic ")
+        code = LinearCode.from_generator(Z4, [list(ast.literal_eval(entry.split("cyclic ")[1]))])
+        assert code.rank == 1 and code.is_lee_equidistant()
+        codes.add(frozenset(tuple(w.entries) for w in code.codewords()))
+    assert len(codes) == 6
 
 
 def test_characterization_alderson_small():
@@ -372,6 +405,16 @@ def test_characterization_rank_sb_z9_has_known_counterexamples():
     assert any("(3, 3)" in x for x in rep["extra"])
 
 
+def test_characterization_plotkin_rank_z9_has_non_free_extras():
+    # non-free socle codes such as <(3,3,3)> meet A(3,2,1)(n-K+1) exactly but
+    # lie outside the predicted family
+    rep = check_characterization("plotkin_rank", [Z9], 4)
+    assert rep["verdict"] == "EXTRA"
+    assert rep["extra"] == ["(Z/3^2, n=3, subtype=(0, 1)): d=9",
+                            "(Z/3^2, n=4, subtype=(0, 1)): d=12",
+                            "(Z/3^2, n=4, subtype=(0, 2)): d=9"]
+
+
 def test_characterization_shiromoto_small():
     rep = check_characterization("shiromoto", [Z4, Z5, Z7], 3)
     assert rep["verdict"] == "EQUAL"
@@ -382,3 +425,23 @@ def test_characterization_shiromoto_z9_ceiling_form_extras():
     rep = check_characterization("shiromoto", [Z9], 3)
     assert rep["verdict"] == "EQUAL"   # strict original form: family is exact
     assert any("(3, 3)" in x for x in rep["ceiling_form_extras"])
+
+
+@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
+                                     "alderson_huntemann", "plotkin_rank"])
+def test_characterization_scans_each_space_once(monkeypatch, theorem):
+    calls = Counter()
+    scan = search.scan_space
+
+    def counted(space, *args, **kwargs):
+        calls[space] += 1
+        return scan(space, *args, **kwargs)
+
+    monkeypatch.setattr(search, "scan_space", counted)
+    check_characterization(theorem, [Z4, Z5, Z9], 3)
+    assert calls and set(calls.values()) == {1}
+
+
+def test_characterization_rejects_unknown_theorem():
+    with pytest.raises(ValueError, match="unknown characterization id"):
+        check_characterization("singleton", [Z4], 2)
