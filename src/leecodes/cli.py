@@ -171,15 +171,17 @@ def construct_equidistant(p, s, level, rank, ell, out):
 def construct_mld(p, s, n, index, out):
     try:
         codes = catalog_mld(Modulus(p, s), n)
+        if not codes:
+            raise ValueError(f"no catalog witness for p={p}, s={s}, n={n}")
+        if not (0 <= index < len(codes)):
+            raise ValueError(f"catalog holds {len(codes)} witnesses; --index out of range")
+        code = codes[index]
+        comments = [f"catalog witness {index + 1} of {len(codes)}, "
+                    f"d_L={code.min_lee_distance()}"]
+    except BudgetError as exc:
+        _fail(str(exc), 2)
     except ValueError as exc:
         _fail(str(exc))
-    if not codes:
-        _fail(f"no catalog witness for p={p}, s={s}, n={n}")
-    if not (0 <= index < len(codes)):
-        _fail(f"catalog holds {len(codes)} witnesses; --index out of range")
-    code = codes[index]
-    comments = [f"catalog witness {index + 1} of {len(codes)}, "
-                f"d_L={code.min_lee_distance()}"]
     text = format_code_text(code, comments)
     if out:
         with open(out, "w") as fh:

@@ -10,7 +10,6 @@ block-triangular systematic shape with diagonal blocks p^(i-1)*Id_{k_i}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -45,15 +44,6 @@ class CodeMatrix:
         for r in self.rows:
             if any(not (0 <= e < q) for e in r):
                 raise ValueError("matrix entries must be reduced into [0, q-1]")
-
-    @classmethod
-    def reduce(cls, modulus: Modulus, rows) -> "CodeMatrix":
-        q = modulus.q
-        return cls(modulus, tuple(tuple(int(e) % q for e in row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
 
     @property
     def ncols(self) -> int:
@@ -264,21 +254,12 @@ class LinearCode:
 
     def codewords(self, budget: int | None = None):
         """Yield every codeword once, as RingVector, in mixed-radix row order."""
-        self._check_budget(budget)
-        q = self.modulus.q
-        if not self.rows:
-            yield RingVector(self.modulus, (0,) * self.n)
-            return
-        for coeffs in itertools.product(*[range(o) for o in self.row_orders]):
-            word = [0] * self.n
-            for a, row in zip(coeffs, self.rows):
-                if a:
-                    word = [(w + a * e) % q for w, e in zip(word, row)]
+        for word in self.codeword_array(budget).tolist():
             yield RingVector(self.modulus, tuple(word))
 
     def codeword_array(self, budget: int | None = None) -> np.ndarray:
-        """All codewords as a read-only (|C|, n) integer array, same order as
-        codewords(); built once per code."""
+        """All codewords as a read-only (|C|, n) integer array in mixed-radix
+        row order, the last row's coefficient fastest; built once per code."""
         self._check_budget(budget)
         return self._codeword_array
 
@@ -365,13 +346,6 @@ class LinearCode:
         if not gens:
             gens = [[0] * self.n]
         return LinearCode.from_generator(self.modulus, gens, n=self.n, budget=self.budget)
-
-    def socle_field_matrix(self) -> np.ndarray:
-        """Socle generators divided by p^(s-1), as a matrix over F_p."""
-        p, s = self.modulus.p, self.modulus.s
-        soc = self.socle()
-        return np.array([[e // p ** (s - 1) for e in row] for row in soc.rows],
-                        dtype=np.int64).reshape(len(soc.rows), self.n)
 
     def parity_check(self) -> CodeMatrix:
         """A generator matrix of the dual code (so G . H^T = 0)."""

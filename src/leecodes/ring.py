@@ -80,11 +80,6 @@ class Modulus:
             raise ValueError(f"{u} is not a unit mod {self.q}")
         return pow(u, -1, self.q)
 
-    def signed_rep(self, a: int) -> int:
-        """Representative of a in [-M, M] (a view; storage stays in [0, q-1])."""
-        a %= self.q
-        return a if a <= self.M else a - self.q
-
     def __str__(self):
         return f"Z/{self.p}^{self.s}" if self.s > 1 else f"Z/{self.p}"
 
@@ -100,11 +95,6 @@ class RingVector:
         q = self.modulus.q
         if any(not (0 <= e < q) for e in self.entries):
             raise ValueError("vector entries must be reduced into [0, q-1]")
-
-    @classmethod
-    def reduce(cls, modulus: Modulus, entries) -> "RingVector":
-        q = modulus.q
-        return cls(modulus, tuple(int(e) % q for e in entries))
 
     def __len__(self):
         return len(self.entries)

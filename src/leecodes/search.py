@@ -18,8 +18,8 @@ each code is keyed by its sorted codeword encodings, and the images of all
 codes under each generator of the signed-permutation group are looked up
 among those keys.  Every predicate kept reads d_L only, so the kept set of a
 whole space is closed under the group and its orbit components are its
-classes.  The component roots then pass through dedup_codes, whose exact
-pairwise check runs only between roots that share an invariant key.
+classes.  Only past q^n = 2^63, where the int64 keys would wrap, are the
+codes compared pairwise by dedup_codes instead.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUNDS, CodeParams, type_form
-from .codes import BudgetError, LinearCode, coefficient_grid, word_profiles
+from .codes import ENUMERATION_BUDGET, BudgetError, LinearCode, coefficient_grid, word_profiles
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
 ENUMERATION_CHUNK = 4096      # generators decoded at a time outside scan_space
+SCAN_CHUNK_CELLS = 16_000_000  # codeword cells per chunk of scan_space
 EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
+EQUIVALENCE_CAP = 500_000     # generator tuples one equivalence check may walk
 
 __all__ = [
     "SearchSpace",
@@ -93,13 +95,6 @@ class SearchSpace:
                 for tail in rec(rest, blocks[1:]):
                     yield (cols,) + tail
         yield from rec(tuple(range(self.n)), self.subtype)
-
-    def placement_count(self) -> int:
-        c = math.factorial(self.n)
-        for k in self.subtype:
-            c //= math.factorial(k)
-        c //= math.factorial(self.n - self.rank)
-        return c
 
     def candidate_count(self) -> int:
         """Number of codes of the subtype, which the scan generates once each:
@@ -162,12 +157,12 @@ def _placement_slots(space: SearchSpace, placement):
     return base, slots
 
 
-def _generator_chunks(space: SearchSpace, chunk: int, placements=None):
+def _generator_chunks(space: SearchSpace, chunk: int):
     """Yield the standard generators of the space as (B, K, n) tensors of at
     most `chunk` each, placement by placement, the last slot fastest.  The
     zero-code space yields one all-zero (1, 1, n) generator."""
     space.check_budget()
-    for placement in (space.placements() if placements is None else placements):
+    for placement in space.placements():
         base, slots = _placement_slots(space, placement)
         total = math.prod(radix for (_, _, _, radix) in slots)
         for start in range(0, total, chunk):
@@ -189,13 +184,18 @@ def enumerate_codes(space: SearchSpace):
 def _space_grid(space: SearchSpace) -> np.ndarray:
     """The coefficient grid of the space's standard generators: row i of
     block j takes p^(s+1-j) coefficients, so grid @ G lists each codeword of
-    the code generated by G once."""
+    the code generated by G once.  Codes of more than ENUMERATION_BUDGET
+    codewords raise BudgetError, as codeword_array does."""
     p, s = space.modulus.p, space.modulus.s
-    return coefficient_grid([p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1)
-                             for _ in range(k)])
+    orders = [p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1) for _ in range(k)]
+    card = math.prod(orders)
+    if card > ENUMERATION_BUDGET:
+        raise BudgetError(f"codes of {space} have {card} codewords, over the "
+                          f"enumeration budget of {ENUMERATION_BUDGET}")
+    return coefficient_grid(orders)
 
 
-def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=None):
+def scan_space(space: SearchSpace):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
     (B, K, n) and their minimum Lee distances (B,).
 
@@ -211,7 +211,7 @@ def scan_space(space: SearchSpace, chunk_cells: int = 16_000_000, placements=Non
     card = U.shape[0]
     use_f32 = K * (q - 1) * (q - 1) < 2**24
     Uf = U.astype(np.float32) if use_f32 else U
-    for G in _generator_chunks(space, max(1, chunk_cells // (card * n)), placements):
+    for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (card * n))):
         if use_f32:
             flat = G.astype(np.float32).transpose(1, 0, 2).reshape(K, -1)
             words = (Uf @ flat).astype(np.int32) % q
@@ -231,23 +231,6 @@ class CensusResult:
     optimal_codes: list[LinearCode]
     examined: int
     attainment_counts: dict[str, int]
-
-    @classmethod
-    def merge(cls, parts: list["CensusResult"]) -> "CensusResult":
-        """Deterministic merge of partial censuses (max plus union), so the
-        placement partitions can run in any order or in parallel."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        space = parts[0].space
-        if any(p.space != space for p in parts):
-            raise ValueError("partial results from different spaces")
-        max_d = max(p.max_d for p in parts)
-        codes = [c for p in parts if p.max_d == max_d for c in p.optimal_codes]
-        counts = Counter()
-        for p in parts:
-            counts.update(p.attainment_counts)
-        return cls(space, max_d, dedup_codes(codes),
-                   sum(p.examined for p in parts), dict(counts))
 
     def to_json(self) -> str:
         m = self.space.modulus
@@ -286,21 +269,19 @@ def _stack(space: SearchSpace, blocks: list[np.ndarray]) -> np.ndarray:
     return np.zeros((0, space.rank, space.n), dtype=np.int64)
 
 
-def max_lee_distance_census(space: SearchSpace, placements=None) -> CensusResult:
+def max_lee_distance_census(space: SearchSpace) -> CensusResult:
     """True maximal minimum Lee distance over the space, with the optimal
     codes retained (deduplicated up to signed-permutation equivalence).
 
     Counts are over codes: the enumeration generates each code of the space
-    exactly once.  Restricting `placements` to a subset partitions the work;
-    partial results recombine with CensusResult.merge independently of
-    completion order.
+    exactly once.
     """
     tests = _attainment_tests(space)
     counts = Counter()
     examined = 0
     max_d = -1
     best: list[np.ndarray] = []
-    for G, d in scan_space(space, placements=placements):
+    for G, d in scan_space(space):
         examined += len(d)
         for name, test in tests.items():
             counts[name] += int(test(d).sum())
@@ -341,14 +322,14 @@ def _sorted_columns(gens: np.ndarray, q: int) -> np.ndarray:
     return cols[order].reshape(B, n, K)
 
 
-def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_000) -> bool:
+def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Equivalence under coordinate permutations composed with sign flips.
 
     Codes with different invariant keys are never equivalent.  Otherwise they
     are equivalent iff some tuple of codewords of `b`, each with the profile
     of the matching reduced generator row of `a`, has the same sorted
     sign-canonical columns as those rows and generates all of `b`.  The
-    tuples are walked in chunks; more than `search_cap` of them raise
+    tuples are walked in chunks; more than EQUIVALENCE_CAP of them raise
     BudgetError.
     """
     if a.invariant_key != b.invariant_key:
@@ -362,7 +343,7 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode, search_cap: int = 500_0
     pools = [words[mask] for mask in match]
     sizes = [len(pool) for pool in pools]
     total = math.prod(sizes)
-    if total > search_cap:
+    if total > EQUIVALENCE_CAP:
         raise BudgetError(f"equivalence search space too large ({total} tuples)")
     target = _sorted_columns(rows[None], m.q)
     K, n = rows.shape
@@ -385,9 +366,8 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
 
     Each code is compared only with the representatives that share its
     invariant key; all others are inequivalent to it.  The scans' optima
-    and attainers reach this only as the roots left by _dedup_generators,
-    so a comparison happens only when two classes share a key that the
-    orbit walk did not join."""
+    and attainers reach this only past q^n = 2^63, where _dedup_generators
+    cannot key them exactly."""
     if len(codes) < 2:
         return list(codes)  # nothing to compare, so no key to compute
     unique: list[LinearCode] = []
@@ -401,14 +381,15 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
 
 
 def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
-    """For each code generated by G (B, K, n), the least index of a code it
-    is joined to by a chain of group generators or by an equal key.
+    """For each of the distinct codes generated by G (B, K, n), the least
+    index of a code it is joined to by a chain of group generators.
 
     A code's key is the sorted array of its codeword encodings sum_j w_j q^j,
     exact in int64 while q^n < 2^63.  The group generators are the n - 1
     adjacent transpositions and the sign flip of coordinate 0; the image of
     every code under one of them is keyed at once and looked up among the
-    input keys."""
+    input keys.  The input must be closed under the group, so that each
+    component is one class; a missing image raises ValueError."""
     q, n, B = space.modulus.q, space.n, len(G)
     U = _space_grid(space)
     small = np.min_scalar_type(q - 1)
@@ -421,8 +402,7 @@ def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     keys = np.sort(enc, axis=1).view(row).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    same = np.flatnonzero(keys[1:] == keys[:-1])
-    heads, tails = [order[same]], [order[same + 1]]
+    heads, tails = [], []
     for j in range(n):
         if j + 1 < n:   # swap coordinates j and j + 1
             image = cols[j + 1].astype(np.int64)
@@ -435,6 +415,9 @@ def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
         image = image.view(row).ravel()
         pos = np.minimum(np.searchsorted(keys, image), B - 1)
         hit = np.flatnonzero(keys[pos] == image)
+        if len(hit) != B:
+            raise ValueError(f"{B - len(hit)} codes of {space} have an image "
+                             "outside the input, which is not closed under the group")
         heads.append(hit)
         tails.append(order[pos[hit]])
     a, b = np.concatenate(heads), np.concatenate(tails)
@@ -451,21 +434,20 @@ def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
 
 
 def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
-    """dedup_codes over the codes generated by G (B, K, n), building a
-    LinearCode only for one code per orbit component.
+    """One code per signed-permutation class of the distinct codes generated
+    by G (B, K, n), the first of each class in input order, as dedup_codes
+    gives.
 
-    Codes joined by _orbit_labels are equivalent, so only the least index
-    of each component can be a first-seen representative.  A set closed
-    under the group, such as the optimal or attaining codes of a whole
-    space, has its classes as components; otherwise (a subset of the
-    placements, or q^n past the int64 keys, where no code is joined) the
-    roots still go through dedup_codes, so the result is exact either way."""
+    The input must be closed under the group, as the optimal or attaining
+    codes of a whole space are: its classes are then the components of
+    _orbit_labels, and a LinearCode is built for each component's least
+    index only.  Past q^n = 2^63 the keys would wrap, so the codes go
+    through dedup_codes instead."""
     m, n, B = space.modulus, space.n, len(G)
-    if B > 1 and m.q ** n <= 2**63 - 1:
-        roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B))
-    else:
-        roots = range(B)
-    return dedup_codes([LinearCode.from_generator(m, G[i].tolist(), n=n) for i in roots])
+    if m.q ** n > 2**63 - 1:
+        return dedup_codes([LinearCode.from_generator(m, g.tolist(), n=n) for g in G])
+    roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B)) if B > 1 else range(B)
+    return [LinearCode.from_generator(m, G[i].tolist(), n=n) for i in roots]
 
 
 # -- socle MDS -----------------------------------------------------------------
@@ -473,26 +455,16 @@ def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
 def verify_mds_socle(code: LinearCode) -> bool:
     """Whether the socle, read as a length-n dimension-K code over F_p, has
     Hamming distance n - K + 1."""
-    p = code.modulus.p
-    mat = code.socle_field_matrix()
-    K = mat.shape[0]
-    if K == 0:
-        return False
-    n = code.n
-    if K == n:
-        return True  # distance 1 == n - n + 1
-    words = (coefficient_grid([p] * K) @ mat) % p
-    wh = (words != 0).sum(axis=1)
-    d = int(wh[wh > 0].min())
-    return d == n - K + 1
+    soc = code.socle()
+    return soc.rank > 0 and soc.min_hamming_distance() == code.n - soc.rank + 1
 
 
 # -- characterization checks -----------------------------------------------------
 
-def all_subtypes(m: Modulus, n: int, min_rank: int = 1):
-    """All subtype tuples with min_rank <= K <= n, ascending lexicographic."""
+def all_subtypes(m: Modulus, n: int):
+    """All subtype tuples with 1 <= K <= n, ascending lexicographic."""
     for combo in itertools.product(range(n + 1), repeat=m.s):
-        if min_rank <= sum(combo) <= n:
+        if 1 <= sum(combo) <= n:
             yield combo
 
 

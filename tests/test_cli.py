@@ -101,6 +101,12 @@ def test_construct_mld():
     assert code.given_rows == ((4, 4, 4, 4),)
     assert "d_L=16" in res.output
     assert run("construct", "mld", "--p", "7", "--s", "1", "--n", "3").exit_code == 1
+    # the second witness over Z/4 at n=20, the dual of the repetition code,
+    # has 2^39 codewords: its d_L is refused
+    res = run("construct", "mld", "--p", "2", "--s", "2", "--n", "20", "--index", "1")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
 
 def test_census_command():
@@ -122,6 +128,13 @@ def test_census_command():
     res = run("census", "--p", "5", "--n", "2", "--k1", "1", "--budget", "0")
     assert res.exit_code == 2
     assert "has 6 codes" in res.stderr
+    # so is a code past the codeword budget: the one code of Z/9 n=12 (12,0)
+    # has 9^12 codewords, and the scan refuses it before building its grid
+    res = run("census", "--p", "3", "--s", "2", "--n", "12", "--k1", "12")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stderr.startswith("error: ") and "enumeration budget" in res.stderr
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_census_of_many_equivalent_optima():
@@ -145,12 +158,13 @@ def test_python_m_runs_from_a_checkout():
 
 def test_census_equivalence_budget_exits_2(monkeypatch):
     # an equivalence check past its search cap is a budget refusal as well;
-    # Z/8 n=4 subtype (1,1,1) has 49 classes of optima, two of which share
-    # an invariant key, and their check spans 96 candidate tuples
+    # over Z/2^16 at n = 4, q^n = 2^64 is past the int64 keys, so the 49
+    # classes of optima of this scaled copy of Z/8 n=4 (1,1,1) are compared
+    # pairwise
     from leecodes import search
-    monkeypatch.setattr(search.signed_perm_equivalent, "__defaults__", (1,))
-    res = run("census", "--p", "2", "--s", "3", "--n", "4", "--k1", "1", "--k2", "1",
-              "--k3", "1")
+    monkeypatch.setattr(search, "EQUIVALENCE_CAP", 1)
+    res = run("census", "--p", "2", "--s", "16", "--n", "4",
+              "--subtype", "0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1")
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert "error: equivalence search space too large" in res.stderr
