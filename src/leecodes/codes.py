@@ -106,6 +106,29 @@ def coefficient_grid(orders) -> np.ndarray:
     return np.indices(orders).reshape(len(orders), -1).T
 
 
+def word_table(orders, gens, q: int) -> np.ndarray:
+    """The words sum_i c_i gens[i] mod q for every coefficient tuple c of
+    coefficient_grid(orders), stored column-major: entry [j, w] is coordinate
+    j of word w, shape (N, prod(orders)) for gens of shape (len(orders), N).
+
+    Row i adds the outer sum with arange(orders[i]) * gens[i] mod q and is
+    reduced at once, so no entry ever reaches 2q: the table is int16 when
+    2q <= 2^15 and int64 otherwise, exact either way, with no product of the
+    whole grid."""
+    gens = np.asarray(gens, dtype=np.int64)
+    dtype, unsigned = (np.int16, np.uint16) if 2 * q <= 2**15 else (np.int64, np.uint64)
+    steps = [(np.multiply.outer(g, np.arange(order, dtype=np.int64)) % q).astype(dtype)
+             for order, g in zip(orders, gens)]
+    table = steps[-1] if steps else np.zeros((gens.shape[1], 1), dtype=dtype)
+    # rows join from the last: the words built so far form the inner, longest axis
+    for step in reversed(steps[:-1]):
+        table = (step[:, :, None] + table[:, None, :]).reshape(len(step), -1)
+        # entries lie in [0, 2q): unsigned, t - q wraps above t exactly when t < q
+        wide = table.view(unsigned)
+        np.minimum(wide, wide - unsigned(q), out=wide)
+    return table
+
+
 def word_profiles(m: Modulus, words: np.ndarray) -> np.ndarray:
     """(order valuation, Lee weight, Hamming weight) of each row of `words`,
     shape (N, 3); each is invariant under signed coordinate permutations.
@@ -265,19 +288,23 @@ class LinearCode:
 
     @cached_property
     def _codeword_array(self) -> np.ndarray:
-        if not self.rows:
-            words = np.zeros((1, self.n), dtype=np.int64)
-        else:
-            gen = np.array(self.rows, dtype=np.int64)
-            words = (coefficient_grid(self.row_orders) @ gen) % self.modulus.q
+        words = np.ascontiguousarray(self._word_table().T, dtype=np.int64)
         words.flags.writeable = False
         return words
 
+    def _word_table(self) -> np.ndarray:
+        """All codewords column-major, shape (n, |C|), in codeword_array() order."""
+        gen = np.array(self.rows, dtype=np.int64).reshape(self.rank, self.n)
+        return word_table(self.row_orders, gen, self.modulus.q)
+
     @cached_property
-    def _lee_weights(self) -> np.ndarray:
-        words = self.codeword_array()
+    def _weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Lee, Hamming) weight of every codeword, in codeword_array() order.
+        The reduced rows with their orders reach each codeword once, so word 0
+        is the only zero word."""
+        table = self._word_table()
         q = self.modulus.q
-        return np.minimum(words, q - words).sum(axis=1)
+        return np.minimum(table, q - table).sum(axis=0), (table != 0).sum(axis=0)
 
     @cached_property
     def codeword_profiles(self) -> np.ndarray:
@@ -296,18 +323,18 @@ class LinearCode:
         return (self.modulus, self.n, self.subtype, self.support_subtype(),
                 profiles[firsts].tobytes(), counts.tobytes())
 
-    def min_lee_distance(self) -> int:
+    def _nonzero_weights(self) -> tuple[np.ndarray, np.ndarray]:
         if self.cardinality < 2:
             raise TrivialCodeError("the zero code has no minimum distance")
-        w = self._lee_weights
-        return int(w[w > 0].min())
+        self._check_budget()
+        lee, hamming = self._weights
+        return lee[1:], hamming[1:]
+
+    def min_lee_distance(self) -> int:
+        return int(self._nonzero_weights()[0].min())
 
     def min_hamming_distance(self) -> int:
-        if self.cardinality < 2:
-            raise TrivialCodeError("the zero code has no minimum distance")
-        words = self.codeword_array()
-        wh = (words != 0).sum(axis=1)
-        return int(wh[wh > 0].min())
+        return int(self._nonzero_weights()[1].min())
 
     # -- support and averages -----------------------------------------------
 
@@ -388,8 +415,8 @@ class LinearCode:
     def is_lee_equidistant(self) -> bool:
         if self.cardinality < 2:
             raise TrivialCodeError("equidistance is undefined for the zero code")
-        nz = self._lee_weights[self._lee_weights > 0]
-        return bool(nz.min() == nz.max())
+        lee = self._nonzero_weights()[0]
+        return bool(lee.min() == lee.max())
 
     def equidistant_weight(self) -> int:
         if not self.is_lee_equidistant():

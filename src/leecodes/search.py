@@ -9,9 +9,9 @@ once, so counts of candidates are counts of codes; reported optima are
 still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised: codes are materialised in chunks as a
-(B, K, n) tensor, all codewords of a chunk are produced by one contraction
-with the fixed coefficient grid, and minimum Lee distances fall out of a
-table lookup.
+(B, K, n) tensor, all codewords of a chunk are produced by one exact
+integer word_table over the columns of its generators, and minimum Lee
+distances are sums down that table.
 
 Optima and attainers are merged straight from the scan's generator tensor:
 each code is keyed by its sorted codeword encodings, and the images of all
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUNDS, CodeParams, type_form
-from .codes import ENUMERATION_BUDGET, BudgetError, LinearCode, coefficient_grid, word_profiles
+from .codes import ENUMERATION_BUDGET, BudgetError, LinearCode, word_profiles, word_table
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
@@ -181,47 +181,36 @@ def enumerate_codes(space: SearchSpace):
             yield LinearCode.from_generator(space.modulus, g.tolist(), n=space.n)
 
 
-def _space_grid(space: SearchSpace) -> np.ndarray:
-    """The coefficient grid of the space's standard generators: row i of
-    block j takes p^(s+1-j) coefficients, so grid @ G lists each codeword of
-    the code generated by G once.  Codes of more than ENUMERATION_BUDGET
-    codewords raise BudgetError, as codeword_array does."""
+def _space_orders(space: SearchSpace) -> list[int]:
+    """The orders of the space's standard generator rows: row i of block j
+    takes p^(s+1-j) coefficients, so word_table lists each codeword of the
+    code once.  Codes of more than ENUMERATION_BUDGET codewords raise
+    BudgetError, as codeword_array does."""
     p, s = space.modulus.p, space.modulus.s
     orders = [p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1) for _ in range(k)]
     card = math.prod(orders)
     if card > ENUMERATION_BUDGET:
         raise BudgetError(f"codes of {space} have {card} codewords, over the "
                           f"enumeration budget of {ENUMERATION_BUDGET}")
-    return coefficient_grid(orders)
+    return orders
 
 
 def scan_space(space: SearchSpace):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
     (B, K, n) and their minimum Lee distances (B,).
 
-    The codeword tensor of a chunk is one matrix product of the coefficient
-    grid with the stacked generators; when every entry of that product stays
-    below 2^24 the product runs in float32 (exact, and BLAS-fast)."""
-    m = space.modulus
-    q = m.q
+    The codewords of a chunk are one word_table over the columns of all its
+    generators, in exact integer arithmetic."""
+    q = space.modulus.q
     K, n = space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
-    U = _space_grid(space)
-    card = U.shape[0]
-    use_f32 = K * (q - 1) * (q - 1) < 2**24
-    Uf = U.astype(np.float32) if use_f32 else U
+    orders = _space_orders(space)
+    card = math.prod(orders)
     for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (card * n))):
-        if use_f32:
-            flat = G.astype(np.float32).transpose(1, 0, 2).reshape(K, -1)
-            words = (Uf @ flat).astype(np.int32) % q
-        else:
-            flat = G.transpose(1, 0, 2).reshape(K, -1)
-            words = (U @ flat) % q
-        lee = np.minimum(words, q - words)
-        dsum = lee.reshape(card, len(G), n).sum(axis=2)
-        d = dsum[1:].min(axis=0)
-        yield G, d
+        words = word_table(orders, G.transpose(1, 0, 2).reshape(K, -1), q)
+        lee = np.minimum(words, q - words).reshape(len(G), n, card).sum(axis=1)
+        yield G, lee[:, 1:].min(axis=1)
 
 
 @dataclass
@@ -391,11 +380,10 @@ def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     input keys.  The input must be closed under the group, so that each
     component is one class; a missing image raises ValueError."""
     q, n, B = space.modulus.q, space.n, len(G)
-    U = _space_grid(space)
-    small = np.min_scalar_type(q - 1)
+    orders = _space_orders(space)
     # codeword column j of every code, (B, |C|), one column at a time
-    cols = [((G[:, :, j] @ U.T) % q).astype(small) for j in range(n)]
-    enc = np.zeros((B, len(U)), dtype=np.int64)
+    cols = [word_table(orders, G[:, :, j].T, q) for j in range(n)]
+    enc = np.zeros((B, math.prod(orders)), dtype=np.int64)
     for j, col in enumerate(cols):
         enc += col * np.int64(q ** j)
     row = np.dtype((np.void, enc.shape[1] * enc.itemsize))
@@ -705,7 +693,8 @@ def _check_rank2_equidistant(rings, n_max, budget) -> dict:
         for n in range(1, n_max + 1):
             for v in range(s - 1):
                 space = SearchSpace(m, n, tuple(int(i == v) for i in range(s)), budget)
-                lam = _space_grid(space)[1:, 0]  # one scalar per nonzero codeword
+                order, = _space_orders(space)
+                lam = np.arange(1, order)  # one scalar per nonzero codeword
                 for G in _generator_chunks(space, ENUMERATION_CHUNK):
                     scanned += len(G)
                     w = lut[np.multiply.outer(lam, G[:, 0]) % q].sum(axis=2)

@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError,
-                            format_code_text, parse_code_text)
+from leecodes import codes
+from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, coefficient_grid,
+                            format_code_text, parse_code_text, word_table)
 from leecodes.ring import Modulus, lee_weight_vec, RingVector
 
 Z4 = Modulus(2, 2)
@@ -139,6 +141,58 @@ def test_codeword_budget():
     assert c.codeword_array(budget=100) is words
     with pytest.raises(BudgetError):
         c.codeword_array()
+
+
+def test_word_table_matches_the_grid_product():
+    rng = np.random.default_rng(5)
+    # (p, s, largest row order): 2q = 2^15 is the last int16 table
+    for p, s, cap in [(2, 2, 4), (3, 2, 9), (5, 2, 25), (3, 3, 27),
+                      (2, 14, 64), (2, 15, 64), (3, 9, 81)]:
+        q = p**s
+        powers = [p**t for t in range(1, s + 1) if p**t <= cap]
+        for _ in range(6):
+            orders = list(rng.choice(powers, size=rng.integers(1, 4)))
+            G = rng.integers(0, q, size=(len(orders), rng.integers(1, 7)))
+            table = word_table(orders, G, q)
+            assert table.dtype == (np.int16 if 2 * q <= 2**15 else np.int64)
+            assert np.array_equal(table, ((coefficient_grid(orders) @ G) % q).T), (q, orders)
+    q = 2**31   # entries near q: the outer sums reach 2q - 2
+    G = q - rng.integers(1, 1000, size=(3, 5))
+    assert np.array_equal(word_table([2, 8, 16], G, q),
+                          ((coefficient_grid([2, 8, 16]) @ G) % q).T)
+
+
+def test_distances_match_brute_force_over_large_rings():
+    rng = random.Random(3)
+    for m in (Modulus(2, 14), Modulus(2, 15), Modulus(3, 9)):
+        q = m.q
+        for n in (1, 3):
+            row = [rng.randrange(q) for _ in range(n)]
+            for gen in (row, [m.p * e % q for e in row]):   # and one of lower order
+                c = LinearCode.from_generator(m, [gen])
+                words = [w for w in ([lam * e % q for e in gen] for lam in range(q)) if any(w)]
+                assert c.min_lee_distance() == min(sum(min(e, q - e) for e in w) for w in words)
+                assert c.min_hamming_distance() == min(sum(e != 0 for e in w) for w in words)
+
+
+def test_distances_check_the_budget_and_reuse_the_weights(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return word_table(*args)
+
+    monkeypatch.setattr(codes, "word_table", counted)
+    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]], budget=10)
+    for distance in (c.min_lee_distance, c.min_hamming_distance, c.is_lee_equidistant):
+        with pytest.raises(BudgetError):
+            distance()
+    assert not built
+    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]])
+    assert c.min_hamming_distance() == 1
+    assert c.min_hamming_distance() == 1 and c.min_lee_distance() == 1
+    assert not c.is_lee_equidistant()
+    assert len(built) == 1
 
 
 def test_min_distance_examples():

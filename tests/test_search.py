@@ -145,6 +145,17 @@ def test_scan_generates_each_code_exactly_once():
             assert not brute, (m, n, sorted(brute))
 
 
+def test_scan_distances_match_brute_force():
+    for m in (Z4, Z5, Z7, Z8, Z9):
+        for n in (1, 2, 3):
+            for subtype in all_subtypes(m, n):
+                for G, d in scan_space(SearchSpace(m, n, subtype)):
+                    words = _span_keys(m.q, G)[:, :, None] // m.q ** np.arange(n) % m.q
+                    lee = np.minimum(words, m.q - words).sum(axis=2)
+                    brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
+                    assert np.array_equal(d, brute), (m, n, subtype)
+
+
 def test_census_examples():
     res = max_lee_distance_census(SearchSpace(Z4, 2, (0, 1)))
     assert res.max_d == 4

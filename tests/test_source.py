@@ -18,6 +18,23 @@ def test_library_code_has_no_assert_statements():
     assert not found, found
 
 
+def test_library_code_has_no_floating_point():
+    # every computation is exact; docstrings may still mention floats
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.id if isinstance(node, ast.Name) else None
+            if name in ("float16", "float32", "float64"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astype"
+                    and any(isinstance(a, ast.Name) and a.id == "float" for a in node.args)):
+                found.append(f"{path.name}:{node.lineno}: astype(float)")
+    assert not found, found
+
+
 def test_every_exported_name_resolves():
     missing = []
     for path in sorted(SOURCE.glob("*.py")):
