@@ -50,41 +50,44 @@ class CodeMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _row_reduce(m: Modulus, rows: list[list[int]]):
-    """Reduce generator rows; returns (pivot rows, pivots) with pivots[t] = (col, val).
+def _row_reduce(m: Modulus, work: list[list[int]]):
+    """Reduce generator rows with entries in [0, q-1], in place; returns
+    (pivot rows, pivots) with pivots[t] = (col, val).
 
     Pivot selection: smallest p-adic valuation over the active submatrix,
-    leftmost column achieving it, first row within that column.  All other
-    active rows are cleared at the pivot column (their entries there have
-    valuation >= the pivot's, so the quotient is exact).
+    leftmost column achieving it, first row within that column; the first
+    unit met in that order wins at once.  All other active rows are cleared
+    at the pivot column (their entries there have valuation >= the pivot's,
+    so the quotient is exact).
     """
-    q, p, s = m.q, m.p, m.s
-    work = [[e % q for e in row] for row in rows]
-    ncols = len(work[0]) if work else 0
+    q, p = m.q, m.p
+    open_cols = list(range(len(work[0]) if work else 0))
     active = list(range(len(work)))
-    used_cols: set[int] = set()
     pivot_rows: list[list[int]] = []
     pivots: list[tuple[int, int]] = []
     while active:
         best = None  # (val, col, row)
-        for c in range(ncols):
-            if c in used_cols:
-                continue
+        for c in open_cols:
             for r in active:
                 e = work[r][c]
                 if e == 0:
                     continue
+                if e % p:
+                    best = (0, c, r)
+                    break
                 v = m.val(e)
                 if best is None or v < best[0]:
                     best = (v, c, r)
-            if best is not None and best[1] == c and best[0] == 0:
-                break  # cannot beat a unit in the leftmost eligible column
+            if best is not None and best[0] == 0:
+                break  # a unit in the leftmost eligible column cannot be beaten
         if best is None:
             break
         v, c, r = best
         pv = p**v
-        inv = m.unit_inverse(work[r][c] // pv)
-        row = [(e * inv) % q for e in work[r]]
+        row = work[r]
+        if row[c] != pv:
+            inv = m.unit_inverse(row[c] // pv)
+            row = [(e * inv) % q for e in row]
         for r2 in active:
             if r2 == r:
                 continue
@@ -95,7 +98,7 @@ def _row_reduce(m: Modulus, rows: list[list[int]]):
         work[r] = row
         pivot_rows.append(row)
         pivots.append((c, v))
-        used_cols.add(c)
+        open_cols.remove(c)
         active.remove(r)
     return pivot_rows, pivots
 
@@ -166,7 +169,8 @@ class LinearCode:
     def from_generator(cls, modulus: Modulus, rows, n: int | None = None,
                        budget: int = ENUMERATION_BUDGET) -> "LinearCode":
         """Build the row span of `rows`; redundant or zero rows are allowed."""
-        given = tuple(tuple(int(e) % modulus.q for e in row) for row in rows)
+        q = modulus.q
+        given = tuple(tuple(int(e) % q for e in row) for row in rows)
         if n is None:
             if not given:
                 raise ValueError("cannot infer length from an empty generator")
@@ -204,7 +208,7 @@ class LinearCode:
     @property
     def type_k(self) -> Fraction:
         s = self.modulus.s
-        return sum((Fraction(s - i, s) * k for i, k in enumerate(self.subtype)), Fraction(0))
+        return Fraction(sum((s - i) * k for i, k in enumerate(self.subtype)), s)
 
     @property
     def cardinality(self) -> int:
@@ -381,21 +385,22 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The dual code, solved by back-substitution over the pivot structure."""
         m = self.modulus
-        q, p, s = m.q, m.p, m.s
+        q, p = m.q, m.p
         pivot_cols = [c for c, _ in self.pivots]
         pivot_set = set(pivot_cols)
         free_cols = [c for c in range(self.n) if c not in pivot_set]
 
         def solve(x: list[int], bump: int | None = None) -> list[int]:
-            # fill pivot coordinates from the deepest pivot upwards
+            # fill pivot coordinates from the deepest pivot upwards; x is zero
+            # at every pivot column not yet filled
             for t in range(len(self.pivots) - 1, -1, -1):
                 c, v = self.pivots[t]
                 row = self.rows[t]
-                acc = sum(row[j] // p**v * x[j] for j in range(self.n) if j != c)
-                mod = p ** (s - v)
-                x[c] = (-acc) % mod
+                pv = p**v
+                acc = sum(row[j] // pv * xj for j, xj in enumerate(x) if xj)
+                x[c] = (-acc) % (q // pv)
                 if bump == t:
-                    x[c] = (x[c] + p ** (s - v)) % q
+                    x[c] = (x[c] + q // pv) % q
             return x
 
         gens: list[list[int]] = []

@@ -6,7 +6,7 @@ deliberately never used, so that downstream bound computations are bit-exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -41,31 +41,30 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True, order=True)
 class Modulus:
-    """The pair (p, s) defining the ring Z/p^s Z."""
+    """The pair (p, s) defining the ring Z/p^s Z, with q = p^s and the
+    maximal Lee weight of one element M = floor(q/2) computed once."""
 
     p: int
     s: int
+    q: int = field(init=False, repr=False, compare=False)
+    M: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.s < 1:
             raise ValueError(f"s = {self.s} must be a positive integer")
-        if self.p**self.s > MAX_Q:
-            raise ValueError(f"p^s = {self.p**self.s} exceeds the supported cap {MAX_Q}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.s
-
-    @property
-    def M(self) -> int:
-        """Maximal Lee weight of a single element, floor(q/2)."""
-        return self.q // 2
+        q = self.p**self.s
+        if q > MAX_Q:
+            raise ValueError(f"p^s = {q} exceeds the supported cap {MAX_Q}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "M", q // 2)
 
     def val(self, a: int) -> int:
         """p-adic valuation of a mod q, with val(0) = s."""
         a %= self.q
+        if a % self.p:
+            return 0  # a unit
         if a == 0:
             return self.s
         v = 0

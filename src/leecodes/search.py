@@ -647,12 +647,15 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     extra: list[str] = []
     examined = attainers = 0
     bound = BOUNDS["rank_plotkin"]
+    floored = {}  # the bound's floored value per scanned space
 
     def targets(space):
         params = space.params
-        if bound.cell(params).value.denominator != 1:
+        cell = bound.cell(params)
+        if cell.value.denominator != 1:
             return None  # an integer distance can never meet it exactly
-        return {"rank_plotkin": _attainment_test(params, "rank_plotkin")}
+        floored[space] = cell.floored
+        return {"rank_plotkin": functools.partial(bound.attained, params, cell.floored)}
 
     def predicted(params: CodeParams, target: int) -> bool:
         n, K, p, s = params.n, params.K, params.modulus.p, params.modulus.s
@@ -663,7 +666,7 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     for space, hits, count, _ in _sweep([m for m in rings if m.p != 2], n_max, budget, targets):
         examined += count
         attainers += len(hits["rank_plotkin"])
-        target = bound.cell(space.params).floored
+        target = floored[space]
         if len(hits["rank_plotkin"]) and not predicted(space.params, target):
             extra.append(f"{space}: d={target}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,

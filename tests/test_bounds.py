@@ -1,9 +1,12 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from leecodes.bounds import (CodeParams, alderson_huntemann, applicable_levels,
+from leecodes import bounds
+from leecodes.bounds import (BOUND_CACHE_SIZE, BOUNDS, Bound, CodeParams,
+                             alderson_huntemann, applicable_levels,
                              attainment_check, chiang_wolf, chiang_wolf_k1,
                              coefficient_A, evaluate_bounds, hamming_to_lee,
                              rank_plotkin, shiromoto_max_d, shiromoto_rank_max_d,
@@ -12,6 +15,7 @@ from leecodes.bounds import (CodeParams, alderson_huntemann, applicable_levels,
 from leecodes.codes import LinearCode
 from leecodes.constructions import EquidistantSpec, equidistant_rank1
 from leecodes.ring import Modulus
+from leecodes.search import SearchSpace, enumerate_codes
 
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
@@ -265,3 +269,67 @@ def test_params_validation():
     p = CodeParams.from_subtype(Z9, 4, (1, 2))
     assert p.k == Fraction(2) and p.K == 3 and p.k1 == 1
     assert p.cardinality == 9 * 3 * 3
+
+
+# -- the per-parameter cache ----------------------------------------------------
+
+CACHE_RINGS = [Modulus(2, 1), Z4, Modulus(2, 3), Modulus(3, 1), Z5, Z9, Z25,
+               Modulus(3, 3)]
+
+
+def every_subtype_params(n_max=6):
+    """CodeParams of every subtype (the zero one too) of CACHE_RINGS with
+    n <= n_max, with ell unset and with ell = 1..s."""
+    for m in CACHE_RINGS:
+        for n in range(1, n_max + 1):
+            for subtype in itertools.product(range(n + 1), repeat=m.s):
+                if sum(subtype) <= n:
+                    for ell in (None, *range(1, m.s + 1)):
+                        yield CodeParams.from_subtype(m, n, subtype, ell)
+
+
+def test_cached_cells_equal_direct_evaluation():
+    checked = 0
+    for params in every_subtype_params():
+        direct = {name: bound.cell(params) for name, bound in BOUNDS.items()}
+        assert evaluate_bounds(params) == direct, params
+        checked += 1
+    assert checked > BOUND_CACHE_SIZE  # the cache also evicts on the way
+    assert bounds._cell_fields.cache_info().maxsize == BOUND_CACHE_SIZE
+
+
+def test_each_call_returns_fresh_cells():
+    params = CodeParams.from_subtype(Z9, 4, (1, 1))
+    first, second = evaluate_bounds(params), evaluate_bounds(params)
+    assert all(first[name] is not second[name] for name in BOUNDS)
+    first["shiromoto"].attained = True
+    assert second["shiromoto"].attained is None
+    assert evaluate_bounds(params)["shiromoto"].attained is None
+
+    code = LinearCode.from_generator(Z9, [[1, 2, 3, 4]])
+    cells = evaluate_bounds(code)
+    attained = cells["shiromoto"].attained
+    cells["shiromoto"].attained = not attained
+    assert evaluate_bounds(code)["shiromoto"].attained is attained
+    assert evaluate_bounds(CodeParams.from_code(code))["shiromoto"].attained is None
+
+
+def test_bound_values_are_computed_once_per_parameter_tuple(monkeypatch):
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return params.n
+
+    monkeypatch.setitem(BOUNDS, "counting", Bound(counting))
+    bounds._cell_fields.cache_clear()
+    try:
+        codes = list(itertools.islice(enumerate_codes(SearchSpace(Z9, 4, (1, 1))), 100))
+        assert len(codes) == 100 and len({c.rows for c in codes}) == 100
+        for code in codes:
+            cells = evaluate_bounds(code)
+            assert cells["counting"].floored == 4
+            assert attainment_check(code, "counting") == (code.min_lee_distance() == 4)
+        assert len(calls) == 1
+    finally:
+        bounds._cell_fields.cache_clear()

@@ -15,6 +15,7 @@ Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
 Z8 = Modulus(2, 3)
 Z9 = Modulus(3, 2)
+Z27 = Modulus(3, 3)
 
 
 def brute_codeword_set(code):
@@ -375,3 +376,34 @@ def test_random_code_invariants(m, data):
     if c.cardinality >= 2:
         assert c.min_hamming_distance() <= c.min_lee_distance() \
             <= m.M * c.min_hamming_distance()
+
+
+def _closure(q, rows):
+    """Every word of the row span over Z/q, by repeated closure under adding
+    each row's multiples."""
+    words = {(0,) * len(rows[0])}
+    for row in rows:
+        words = {tuple((a + lam * b) % q for a, b in zip(w, row))
+                 for w in words for lam in range(q)}
+    return words
+
+
+@given(st.sampled_from([Z4, Z8, Z9, Z27, Modulus(2, 15)]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_row_reduction_shape_and_span(m, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    nrows = data.draw(st.integers(min_value=1, max_value=4))
+    # entries p^v * u with v drawn on its own, so non-units are common
+    entry = st.builds(lambda v, u: m.p**v * u % m.q,
+                      st.integers(min_value=0, max_value=m.s),
+                      st.integers(min_value=0, max_value=m.q - 1))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(nrows)]
+    c = LinearCode.from_generator(m, rows)
+    assert len(c.rows) == len(c.pivots) <= nrows
+    for t, (row, (col, v)) in enumerate(zip(c.rows, c.pivots)):
+        assert row[col] == m.p**v
+        assert all(row[earlier] == 0 for earlier, _ in c.pivots[:t])
+    vals = [v for _, v in c.pivots]
+    assert vals == sorted(vals) and all(v < m.s for v in vals)
+    if m.q**n <= 10**4:
+        assert _closure(m.q, c.rows or [[0] * n]) == _closure(m.q, rows)

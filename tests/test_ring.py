@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leecodes.ring import (Modulus, RingVector, ambient_average_weight,
@@ -24,6 +26,28 @@ def all_small_moduli(q_cap):
             out.append(Modulus(p, s))
             s += 1
     return out
+
+
+def _divide_out(m, a):
+    a %= m.q
+    if a == 0:
+        return m.s
+    v = 0
+    while a % m.p == 0:
+        a //= m.p
+        v += 1
+    return v
+
+
+def test_val_matches_divide_out():
+    for m in (Z4, Modulus(2, 3), Z9, Modulus(5, 2), Modulus(3, 3)):
+        assert [m.val(a) for a in range(m.q)] == [_divide_out(m, a) for a in range(m.q)]
+    rng = random.Random(31)
+    for m in (Modulus(2, 31), Modulus(3, 19), Modulus(46337, 2)):  # q at or just below 2^31
+        near = [m.q - 1 - rng.randrange(1000) for _ in range(200)]
+        scaled = [m.p ** rng.randrange(m.s + 1) * rng.randrange(m.q) for _ in range(200)]
+        for a in near + scaled + [0, m.q, -1, -m.p, 3 * m.q + m.p]:
+            assert m.val(a) == _divide_out(m, a), (m, a)
 
 
 def test_modulus_validation():

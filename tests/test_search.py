@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from leecodes import search
-from leecodes.bounds import BOUND_IDS, attainment_check, evaluate_bounds
+from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
 from leecodes.search import (SearchSpace, _dedup_generators, all_subtypes,
@@ -437,6 +438,21 @@ def test_characterization_scans_each_space_once(monkeypatch, theorem):
     monkeypatch.setattr(search, "scan_space", counted)
     check_characterization(theorem, [Z4, Z5, Z9], 3)
     assert calls and set(calls.values()) == {1}
+
+
+def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkeypatch):
+    calls = Counter()
+    bound = BOUNDS["rank_plotkin"]
+
+    def counted(params):
+        calls[params] += 1
+        return bound.evaluate(params)
+
+    monkeypatch.setitem(BOUNDS, "rank_plotkin", dataclasses.replace(bound, evaluate=counted))
+    report = check_characterization("plotkin_rank", [Z5, Z9], 3)
+    spaces = [SearchSpace(m, n, subtype).params
+              for m in (Z5, Z9) for n in range(1, 4) for subtype in all_subtypes(m, n)]
+    assert report["attainers"] and calls == Counter(spaces)
 
 
 def test_characterization_rejects_unknown_theorem():
