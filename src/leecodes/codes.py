@@ -109,6 +109,17 @@ def coefficient_grid(orders) -> np.ndarray:
     return np.indices(orders).reshape(len(orders), -1).T
 
 
+def signed_half(orders) -> list[int]:
+    """The orders with the first cut to [0, orders[0] // 2]: a prefix of
+    coefficient_grid(orders) holding at least one tuple of each pair c, -c.
+
+    For row orders, -c has coefficients (o_i - c_i) mod o_i, so c or -c has
+    its first coefficient in the cut; the zero tuple stays first and alone.
+    Negation keeps Lee and Hamming weights and order valuations, so the words
+    of the cut grid have the same weight extremes as the whole span."""
+    return [orders[0] // 2 + 1, *orders[1:]]
+
+
 def word_table(orders, gens, q: int) -> np.ndarray:
     """The words sum_i c_i gens[i] mod q for every coefficient tuple c of
     coefficient_grid(orders), stored column-major: entry [j, w] is coordinate
@@ -117,7 +128,9 @@ def word_table(orders, gens, q: int) -> np.ndarray:
     Row i adds the outer sum with arange(orders[i]) * gens[i] mod q and is
     reduced at once, so no entry ever reaches 2q: the table is int16 when
     2q <= 2^15 and int64 otherwise, exact either way, with no product of the
-    whole grid."""
+    whole grid.  With the orders cut by signed_half, the table is the first
+    columns of the full one and holds one word of each pair c, -c of the
+    span, which carry the same weights, so it has the span's weight extremes."""
     gens = np.asarray(gens, dtype=np.int64)
     dtype, unsigned = (np.int16, np.uint16) if 2 * q <= 2**15 else (np.int64, np.uint64)
     steps = [(np.multiply.outer(g, np.arange(order, dtype=np.int64)) % q).astype(dtype)
@@ -190,7 +203,7 @@ class LinearCode:
 
     # -- parameters --------------------------------------------------------
 
-    @property
+    @cached_property
     def subtype(self) -> tuple[int, ...]:
         counts = [0] * self.modulus.s
         for _, v in self.pivots:
@@ -205,17 +218,17 @@ class LinearCode:
     def free_rank(self) -> int:
         return self.subtype[0]
 
-    @property
+    @cached_property
     def type_k(self) -> Fraction:
         s = self.modulus.s
         return Fraction(sum((s - i) * k for i, k in enumerate(self.subtype)), s)
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
         p, s = self.modulus.p, self.modulus.s
         return p ** sum((s - v) for _, v in self.pivots)
 
-    @property
+    @cached_property
     def row_orders(self) -> tuple[int, ...]:
         p, s = self.modulus.p, self.modulus.s
         return tuple(p ** (s - v) for _, v in self.pivots)
@@ -292,21 +305,25 @@ class LinearCode:
 
     @cached_property
     def _codeword_array(self) -> np.ndarray:
-        words = np.ascontiguousarray(self._word_table().T, dtype=np.int64)
+        words = np.ascontiguousarray(self._word_table(self.row_orders).T, dtype=np.int64)
         words.flags.writeable = False
         return words
 
-    def _word_table(self) -> np.ndarray:
-        """All codewords column-major, shape (n, |C|), in codeword_array() order."""
+    def _word_table(self, orders) -> np.ndarray:
+        """The words of the reduced rows for coefficient_grid(orders),
+        column-major, shape (n, prod(orders))."""
         gen = np.array(self.rows, dtype=np.int64).reshape(self.rank, self.n)
-        return word_table(self.row_orders, gen, self.modulus.q)
+        return word_table(orders, gen, self.modulus.q)
 
     @cached_property
     def _weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Lee, Hamming) weight of every codeword, in codeword_array() order.
-        The reduced rows with their orders reach each codeword once, so word 0
-        is the only zero word."""
-        table = self._word_table()
+        """(Lee, Hamming) weight of the words of the signed_half of the row
+        orders: a prefix of codeword_array() that holds c or -c for every
+        codeword c.  Both weights are the same on c and -c, so their extremes
+        over the nonzero words are those of the code; the reduced rows with
+        their orders reach each codeword once, so word 0 is the only zero
+        word."""
+        table = self._word_table(signed_half(self.row_orders))
         q = self.modulus.q
         return np.minimum(table, q - table).sum(axis=0), (table != 0).sum(axis=0)
 

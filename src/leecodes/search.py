@@ -10,8 +10,9 @@ still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised: codes are materialised in chunks as a
 (B, K, n) tensor, all codewords of a chunk are produced by one exact
-integer word_table over the columns of its generators, and minimum Lee
-distances are sums down that table.
+integer word_table over the columns of its generators, cut by signed_half
+to one word of each pair c, -c, and minimum Lee distances are sums down
+that table.
 
 Optima and attainers are merged straight from the scan's generator tensor:
 each code is keyed by its sorted codeword encodings, and the images of all
@@ -34,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BOUNDS, CodeParams, type_form
-from .codes import ENUMERATION_BUDGET, BudgetError, LinearCode, word_profiles, word_table
+from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, signed_half, word_profiles,
+                    word_table)
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
@@ -199,17 +201,19 @@ def scan_space(space: SearchSpace):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
     (B, K, n) and their minimum Lee distances (B,).
 
-    The codewords of a chunk are one word_table over the columns of all its
-    generators, in exact integer arithmetic."""
+    The words of a chunk are one word_table over the columns of all its
+    generators, in exact integer arithmetic, with the first row cut by
+    signed_half: the words kept hold c or -c for every codeword c, and the
+    Lee weight is the same on both, so their least nonzero weight is d_L."""
     q = space.modulus.q
     K, n = space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
-    orders = _space_orders(space)
-    card = math.prod(orders)
-    for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (card * n))):
+    orders = signed_half(_space_orders(space))
+    width = math.prod(orders)
+    for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (width * n))):
         words = word_table(orders, G.transpose(1, 0, 2).reshape(K, -1), q)
-        lee = np.minimum(words, q - words).reshape(len(G), n, card).sum(axis=1)
+        lee = np.minimum(words, q - words).reshape(len(G), n, width).sum(axis=1)
         yield G, lee[:, 1:].min(axis=1)
 
 
@@ -697,7 +701,9 @@ def _check_rank2_equidistant(rings, n_max, budget) -> dict:
             for v in range(s - 1):
                 space = SearchSpace(m, n, tuple(int(i == v) for i in range(s)), budget)
                 order, = _space_orders(space)
-                lam = np.arange(1, order)  # one scalar per nonzero codeword
+                # one scalar per nonzero codeword up to sign: lam and
+                # order - lam give -c and c, of the same Lee weight
+                lam = np.arange(1, order // 2 + 1)
                 for G in _generator_chunks(space, ENUMERATION_CHUNK):
                     scanned += len(G)
                     w = lut[np.multiply.outer(lam, G[:, 0]) % q].sum(axis=2)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from leecodes import codes
 from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, coefficient_grid,
-                            format_code_text, parse_code_text, word_table)
+                            format_code_text, parse_code_text, signed_half, word_table)
 from leecodes.ring import Modulus, lee_weight_vec, RingVector
+from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
 
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
@@ -50,6 +52,15 @@ def test_cardinality_matches_enumeration():
         st = c.subtype
         expected = m.p ** sum((m.s - i) * k for i, k in enumerate(st))
         assert c.cardinality == expected
+
+
+def test_structural_parameters_are_computed_once():
+    c = LinearCode.from_generator(Z27, [[1, 3, 9], [0, 3, 6], [0, 0, 9]])
+    params = ("cardinality", "subtype", "type_k", "row_orders")
+    first = [getattr(c, name) for name in params]
+    assert first == [27 * 9 * 3, (1, 1, 1), Fraction(2), (27, 9, 3)]
+    assert all(getattr(c, name) is value for name, value in zip(params, first))
+    assert repr(c) == "LinearCode(Z/3^3, n=3, subtype=(1, 1, 1), |C|=729)"
 
 
 def test_systematic_form_examples():
@@ -161,6 +172,32 @@ def test_word_table_matches_the_grid_product():
     G = q - rng.integers(1, 1000, size=(3, 5))
     assert np.array_equal(word_table([2, 8, 16], G, q),
                           ((coefficient_grid([2, 8, 16]) @ G) % q).T)
+
+
+@pytest.mark.parametrize("orders", [[2], [4, 2], [8, 4, 2], [16, 4], [3], [9, 3, 3],
+                                    [27, 9], [2, 3], [3, 2, 16], [16, 8, 8, 2]])
+def test_signed_half_keeps_one_word_of_each_sign_pair(orders):
+    full = list(itertools.product(*(range(o) for o in orders)))
+    cut = list(itertools.product(*(range(o) for o in signed_half(orders))))
+    assert cut == full[:len(cut)]   # a prefix of the grid, so the zero tuple first
+    negated = {tuple(-c % o for c, o in zip(row, orders)) for row in cut}
+    assert set(cut) | negated == set(full)
+    # at most half the grid, plus the self-negating first coefficients
+    assert len(cut) <= len(full) // 2 + math.prod(orders[1:])
+
+
+def test_distances_match_the_full_codeword_array():
+    spaces = [(m, n) for m in (Z4, Z5, Modulus(7, 1), Z8, Z9) for n in (1, 2, 3)]
+    spaces += [(m, n) for m in (Modulus(2, 4), Modulus(5, 2), Z27) for n in (1, 2)]
+    for m, n in spaces:
+        for subtype in all_subtypes(m, n):
+            for c in enumerate_codes(SearchSpace(m, n, subtype)):
+                words = c.codeword_array()[1:]
+                lee = np.minimum(words, m.q - words).sum(axis=1)
+                hamming = (words != 0).sum(axis=1)
+                assert c.min_lee_distance() == lee.min(), c
+                assert c.min_hamming_distance() == hamming.min(), c
+                assert c.is_lee_equidistant() == (lee.min() == lee.max()), c
 
 
 def test_distances_match_brute_force_over_large_rings():

@@ -147,14 +147,15 @@ def test_scan_generates_each_code_exactly_once():
 
 
 def test_scan_distances_match_brute_force():
-    for m in (Z4, Z5, Z7, Z8, Z9):
-        for n in (1, 2, 3):
-            for subtype in all_subtypes(m, n):
-                for G, d in scan_space(SearchSpace(m, n, subtype)):
-                    words = _span_keys(m.q, G)[:, :, None] // m.q ** np.arange(n) % m.q
-                    lee = np.minimum(words, m.q - words).sum(axis=2)
-                    brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
-                    assert np.array_equal(d, brute), (m, n, subtype)
+    spaces = [(m, n) for m in (Z4, Z5, Z7, Z8, Z9) for n in (1, 2, 3)]
+    spaces += [(m, n) for m in (Modulus(2, 4), Modulus(5, 2), Z27) for n in (1, 2)]
+    for m, n in spaces:
+        for subtype in all_subtypes(m, n):
+            for G, d in scan_space(SearchSpace(m, n, subtype)):
+                words = _span_keys(m.q, G)[:, :, None] // m.q ** np.arange(n) % m.q
+                lee = np.minimum(words, m.q - words).sum(axis=2)
+                brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
+                assert np.array_equal(d, brute), (m, n, subtype)
 
 
 def test_census_examples():
