@@ -9,10 +9,13 @@ once, so counts of candidates are counts of codes; reported optima are
 still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised: codes are materialised in chunks as a
-(B, K, n) tensor, all codewords of a chunk are produced by one exact
-integer word_table over the columns of its generators, cut by signed_half
-to one word of each pair c, -c, and minimum Lee distances are sums down
-that table.
+(B, K, n) tensor, filled across pivot placements, all codewords of a chunk
+are produced by one exact integer word_table over the columns of its
+generators, cut by signed_half to one word of each pair c, -c, and minimum
+Lee distances are sums down that table.  The table leaves out the pivot
+columns of the block-1 rows: each is a unit column e_t, whose entry in the
+word of coefficients c is c_t in every code of the space, so its Lee weight
+is summed once per space and added to every code's sums.
 
 Optima and attainers are merged straight from the scan's generator tensor:
 each code is keyed by its sorted codeword encodings, and the images of all
@@ -160,20 +163,33 @@ def _placement_slots(space: SearchSpace, placement):
 
 
 def _generator_chunks(space: SearchSpace, chunk: int):
-    """Yield the standard generators of the space as (B, K, n) tensors of at
-    most `chunk` each, placement by placement, the last slot fastest.  The
-    zero-code space yields one all-zero (1, 1, n) generator."""
+    """Yield the standard generators of the space as (B, K, n) tensors of
+    `chunk` each but the last, placement by placement, the last slot fastest.
+    A chunk is filled across placement boundaries, so it may hold the
+    generators of several placements.  The zero-code space yields one
+    all-zero (1, 1, n) generator."""
     space.check_budget()
+    chunk = min(chunk, space.candidate_count())
+    G, fill = np.empty((chunk, max(space.rank, 1), space.n), dtype=np.int64), 0
     for placement in space.placements():
         base, slots = _placement_slots(space, placement)
         total = math.prod(radix for (_, _, _, radix) in slots)
-        for start in range(0, total, chunk):
-            rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            G = np.repeat(base[None, :, :], len(rem), axis=0)
+        done = 0
+        while done < total:
+            take = min(chunk - fill, total - done)
+            rem = np.arange(done, done + take, dtype=np.int64)
+            part = G[fill:fill + take]
+            part[:] = base
             for (row, col, scale, radix) in reversed(slots):
-                G[:, row, col] = (rem % radix) * scale   # below p^s = q
+                part[:, row, col] = (rem % radix) * scale   # below p^s = q
                 rem //= radix
-            yield G
+            done += take
+            fill += take
+            if fill == chunk:
+                yield G
+                G, fill = np.empty_like(G), 0
+    if fill:
+        yield G[:fill]
 
 
 def enumerate_codes(space: SearchSpace):
@@ -197,24 +213,66 @@ def _space_orders(space: SearchSpace) -> list[int]:
     return orders
 
 
+def _lee_sum_dtype(n: int, q: int):
+    """The narrowest integer dtype that holds every sum of n Lee weights
+    over Z/q, each at most q // 2."""
+    top = n * (q // 2)
+    if top < 2**15:
+        return np.int16
+    if top < 2**31:
+        return np.int32
+    return np.int64
+
+
+def _pivot_columns(G: np.ndarray, k1: int, p: int) -> np.ndarray:
+    """The pivot column of each block-1 row of each generator of G (B, K, n),
+    shape (B, k1): the row's first unit entry, since _placement_slots makes
+    every entry to its left a multiple of p.  Column pivots[b, t] of G[b] is
+    the unit column e_t, as every other row is 0 at a block-1 pivot."""
+    return (G[:, :k1] % p != 0).argmax(axis=2)
+
+
 def scan_space(space: SearchSpace):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
-    (B, K, n) and their minimum Lee distances (B,).
+    (B, K, n) and their minimum Lee distances (B,), int64.
 
     The words of a chunk are one word_table over the columns of all its
     generators, in exact integer arithmetic, with the first row cut by
     signed_half: the words kept hold c or -c for every codeword c, and the
-    Lee weight is the same on both, so their least nonzero weight is d_L."""
-    q = space.modulus.q
+    Lee weight is the same on both, so their least nonzero weight is d_L.
+    The pivot column of block-1 row t is the unit column e_t, so its entry
+    in the word with coefficients c is c_t in every code of the space: the
+    table covers the other n - k_1 columns only, and the Lee weights of the
+    c_t, summed once per space, are added to every code's row.  A chunk may
+    span several pivot placements, since the pivots are read per generator."""
+    p, q = space.modulus.p, space.modulus.q
     K, n = space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
+    k1 = space.subtype[0]
     orders = signed_half(_space_orders(space))
     width = math.prod(orders)
+    dtype = _lee_sum_dtype(n, q)
+    # sum_{t < k1} wt_L(c_t) over coefficient_grid(orders), one outer sum per
+    # row, repeated over the later rows' coefficients (the fastest axes)
+    fixed = np.zeros(1, dtype=dtype)
+    for order in orders[:k1]:
+        c = np.arange(order)
+        fixed = np.add.outer(fixed, np.minimum(c, q - c).astype(dtype)).ravel()
+    fixed = np.repeat(fixed, width // len(fixed))
     for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (width * n))):
-        words = word_table(orders, G.transpose(1, 0, 2).reshape(K, -1), q)
-        lee = np.minimum(words, q - words).reshape(len(G), n, width).sum(axis=1)
-        yield G, lee[:, 1:].min(axis=1)
+        B = len(G)
+        if k1 == n:
+            lee = np.broadcast_to(fixed, (B, width))
+        else:
+            keep = np.ones((B, n), dtype=bool)
+            keep[np.arange(B)[:, None], _pivot_columns(G, k1, p)] = False
+            cols = G.transpose(0, 2, 1)[keep]   # (B * (n - k1), K), per generator
+            words = word_table(orders, cols.T, q)
+            np.minimum(words, q - words, out=words)
+            lee = words.reshape(B, n - k1, width).sum(axis=1, dtype=dtype)
+            lee += fixed
+        yield G, lee[:, 1:].min(axis=1).astype(np.int64)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,3 +18,24 @@ def test_script_exits_0(script, tmp_path):
     if script == "reproduce_figures.py":
         assert sorted(f.name for f in tmp_path.iterdir()) == \
             ["figure1.csv", "figure2.csv", "figure3.csv"]
+
+
+def test_characterize_sweep_prints_the_verdicts(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "characterize_sweep.py"), "--n-max", "2"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert {theorem: report["verdict"] for theorem, report in doc.items()} == {
+        "shiromoto": "EQUAL", "z4_singleton": "EQUAL", "rank_sb": "EXTRA",
+        "alderson_huntemann": "EQUAL", "plotkin_rank": "EQUAL"}
+    assert {theorem: report["examined"] for theorem, report in doc.items()} == {
+        "shiromoto": 97, "z4_singleton": 16, "rank_sb": 97,
+        "alderson_huntemann": 0, "plotkin_rank": 40}
+    socle = ["(Z/3^2, n=2, subtype=(0, 1)): [(3, 3)]"]
+    assert doc["rank_sb"]["extra"] == doc["shiromoto"]["ceiling_form_extras"] == socle
+
+
+def test_characterize_sweep_refuses_a_length_below_1(tmp_path):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "characterize_sweep.py"), "--n-max", "0"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "--n-max" in proc.stderr

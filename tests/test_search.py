@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import itertools
 import json
+import math
 import random
 from collections import Counter, defaultdict
 
@@ -12,7 +13,8 @@ from leecodes import search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
-from leecodes.search import (SearchSpace, _dedup_generators, all_subtypes,
+from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _pivot_columns,
+                             _placement_slots, all_subtypes,
                              check_characterization, dedup_codes, enumerate_codes,
                              find_attaining_codes, max_lee_distance_census, scan_space,
                              signed_perm_equivalent, verify_mds_socle)
@@ -149,6 +151,8 @@ def test_scan_generates_each_code_exactly_once():
 def test_scan_distances_match_brute_force():
     spaces = [(m, n) for m in (Z4, Z5, Z7, Z8, Z9) for n in (1, 2, 3)]
     spaces += [(m, n) for m in (Modulus(2, 4), Modulus(5, 2), Z27) for n in (1, 2)]
+    # n = 4 holds spaces with k_1 = n, with k_1 = 0 and with mixed subtypes
+    spaces += [(Z4, 4), (Z5, 4)]
     for m, n in spaces:
         for subtype in all_subtypes(m, n):
             for G, d in scan_space(SearchSpace(m, n, subtype)):
@@ -156,6 +160,56 @@ def test_scan_distances_match_brute_force():
                 lee = np.minimum(words, m.q - words).sum(axis=2)
                 brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
                 assert np.array_equal(d, brute), (m, n, subtype)
+
+
+def test_scan_sums_lee_weights_past_int32():
+    # the socle codes of Z/2^31 at n = 2: <(2^30, 2^30)> has d_L = 2^31,
+    # one past the int32 range
+    space = SearchSpace(Modulus(2, 31), 2, (0,) * 30 + (1,))
+    assert np.concatenate([d for _, d in scan_space(space)]).tolist() == [2**30, 2**31, 2**30]
+    assert max_lee_distance_census(space).max_d == 2**31
+
+
+def _placement_blocks(space):
+    """(placement, generators) for each placement of the space in turn, the
+    generators decoded from np.indices over its free slots' radices, the
+    last slot fastest."""
+    for placement in space.placements():
+        base, slots = _placement_slots(space, placement)
+        radices = [radix for (_, _, _, radix) in slots]
+        digits = np.indices(radices).reshape(len(radices), math.prod(radices))
+        G = np.repeat(base[None], digits.shape[1], axis=0)
+        for (row, col, scale, _), x in zip(slots, digits):
+            G[:, row, col] = x * scale
+        yield placement, G
+
+
+_MULTI_PLACEMENT_SPACES = [
+    SearchSpace(m, n, subtype)
+    for m, n in [(Z4, 3), (Z4, 4), (Z8, 3), (Z9, 3)] for subtype in all_subtypes(m, n)
+    if len(list(SearchSpace(m, n, subtype).placements())) > 1
+] + [SearchSpace(Z8, 4, (1, 1, 1)), SearchSpace(Z9, 4, (1, 1)), SearchSpace(Z9, 4, (2, 1))]
+
+
+def test_generator_chunks_fill_across_placements():
+    for space in _MULTI_PLACEMENT_SPACES:
+        decoded = np.concatenate([G for _, G in _placement_blocks(space)])
+        for chunk in (1, 7, 4096):
+            chunks = list(_generator_chunks(space, chunk))
+            assert all(len(G) == chunk for G in chunks[:-1]), (space, chunk)
+            assert 1 <= len(chunks[-1]) <= chunk, (space, chunk)
+            assert np.array_equal(np.concatenate(chunks), decoded), (space, chunk)
+
+
+def test_scan_drops_the_block1_pivot_unit_columns():
+    for space in _MULTI_PLACEMENT_SPACES:
+        k1, p = space.subtype[0], space.modulus.p
+        unit = np.eye(space.rank, dtype=np.int64)
+        for placement, G in _placement_blocks(space):
+            pivots = _pivot_columns(G, k1, p)
+            assert (pivots == np.array(placement[0], dtype=np.int64)).all(), (space, placement)
+            for t, col in enumerate(placement[0]):
+                assert (G[:, :, col] == unit[t]).all(), (space, placement)
 
 
 def test_census_examples():
