@@ -9,13 +9,14 @@ once, so counts of candidates are counts of codes; reported optima are
 still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised: codes are materialised in chunks as a
-(B, K, n) tensor, filled across pivot placements, all codewords of a chunk
-are produced by one exact integer word_table over the columns of its
-generators, cut by signed_half to one word of each pair c, -c, and minimum
-Lee distances are sums down that table.  The table leaves out the pivot
-columns of the block-1 rows: each is a unit column e_t, whose entry in the
-word of coefficients c is c_t in every code of the space, so its Lee weight
-is summed once per space and added to every code's sums.
+(B, K, n) tensor, filled across pivot placements, and the Lee weight of the
+word cG is summed column by column, as each term wt_L(<c, col>) depends on
+its column alone.  The pivot columns of the block-1 rows are unit columns
+e_t, whose terms wt_L(c_t) are the same in every code of the space, so they
+are summed once per space.  The other columns of a chunk repeat often: each
+distinct one, keyed exactly by its entries in mixed radix, is weighed once
+in one exact integer word_table cut by signed_half to one word of each pair
+c, -c, and each code's Lee sums gather its columns' rows of that table.
 
 Optima and attainers are merged straight from the scan's generator tensor:
 each code is keyed by its sorted codeword encodings, and the images of all
@@ -232,19 +233,34 @@ def _pivot_columns(G: np.ndarray, k1: int, p: int) -> np.ndarray:
     return (G[:, :k1] % p != 0).argmax(axis=2)
 
 
+def _column_keys(space: SearchSpace, cols: np.ndarray) -> np.ndarray:
+    """An exact key in [0, |C|) of each column of `cols` (N, K), columns of
+    standard generators of the space.  The entry of a block-i row is
+    p^(i-1) * x with x below the row's order, so the x of a column, read in
+    mixed radix over _space_orders, key it injectively; |C| is at most
+    ENUMERATION_BUDGET, so the key never wraps."""
+    q = space.modulus.q
+    keys = np.zeros(len(cols), dtype=np.int64)
+    for order, entries in zip(_space_orders(space), cols.T):
+        keys *= order
+        keys += entries // (q // order)
+    return keys
+
+
 def scan_space(space: SearchSpace):
     """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
     (B, K, n) and their minimum Lee distances (B,), int64.
 
-    The words of a chunk are one word_table over the columns of all its
-    generators, in exact integer arithmetic, with the first row cut by
-    signed_half: the words kept hold c or -c for every codeword c, and the
-    Lee weight is the same on both, so their least nonzero weight is d_L.
-    The pivot column of block-1 row t is the unit column e_t, so its entry
-    in the word with coefficients c is c_t in every code of the space: the
-    table covers the other n - k_1 columns only, and the Lee weights of the
-    c_t, summed once per space, are added to every code's row.  A chunk may
-    span several pivot placements, since the pivots are read per generator."""
+    d_L(cG) is the sum over the columns of wt_L(<c, col>), each term fixed by
+    its column alone.  The pivot column of block-1 row t is the unit column
+    e_t, so its term is wt_L(c_t) in every code of the space: those terms
+    are summed once per space.  The other n - k_1 columns of a chunk's
+    generators repeat often, so each distinct one is weighed once, in one
+    exact integer word_table whose first row is cut by signed_half, and each
+    code's Lee sums gather its columns' rows of that table.  The words kept
+    hold c or -c for every codeword c, of the same Lee weight, so their least
+    nonzero weight is d_L.  A chunk may span several pivot placements, since
+    the pivots are read per generator."""
     p, q = space.modulus.p, space.modulus.q
     K, n = space.rank, space.n
     if K == 0:
@@ -268,10 +284,17 @@ def scan_space(space: SearchSpace):
             keep = np.ones((B, n), dtype=bool)
             keep[np.arange(B)[:, None], _pivot_columns(G, k1, p)] = False
             cols = G.transpose(0, 2, 1)[keep]   # (B * (n - k1), K), per generator
-            words = word_table(orders, cols.T, q)
+            distinct, inv = np.unique(_column_keys(space, cols), return_inverse=True)
+            # a position of each distinct key, any one naming its column
+            at = np.empty(len(distinct), dtype=np.intp)
+            at[inv] = np.arange(len(inv))
+            words = word_table(orders, cols[at].T, q)   # (distinct columns, width)
             np.minimum(words, q - words, out=words)
-            lee = words.reshape(B, n - k1, width).sum(axis=1, dtype=dtype)
-            lee += fixed
+            table = words.astype(dtype, copy=False)
+            inv = inv.reshape(B, n - k1)
+            lee = fixed + table[inv[:, 0]]
+            for j in range(1, n - k1):
+                lee += table[inv[:, j]]
         yield G, lee[:, 1:].min(axis=1).astype(np.int64)
 
 
@@ -754,19 +777,22 @@ def _check_rank2_equidistant(rings, n_max, budget) -> dict:
     scanned = 0
     for m in rings:
         q, s = m.q, m.s
-        lut = np.minimum(np.arange(q), q - np.arange(q))
         for n in range(1, n_max + 1):
             for v in range(s - 1):
                 space = SearchSpace(m, n, tuple(int(i == v) for i in range(s)), budget)
                 order, = _space_orders(space)
-                # one scalar per nonzero codeword up to sign: lam and
-                # order - lam give -c and c, of the same Lee weight
-                lam = np.arange(1, order // 2 + 1)
                 for G in _generator_chunks(space, ENUMERATION_CHUNK):
                     scanned += len(G)
-                    w = lut[np.multiply.outer(lam, G[:, 0]) % q].sum(axis=2)
+                    lo, hi = np.full(len(G), n * q), np.zeros(len(G), dtype=np.int64)
+                    # one scalar per nonzero codeword up to sign, in blocks:
+                    # lam and order - lam give -c and c, of the same Lee weight
+                    for start in range(1, order // 2 + 1, ENUMERATION_CHUNK):
+                        lam = np.arange(start, min(start + ENUMERATION_CHUNK, order // 2 + 1))
+                        words = np.multiply.outer(lam, G[:, 0]) % q
+                        w = np.minimum(words, q - words).sum(axis=2)
+                        lo, hi = np.minimum(lo, w.min(axis=0)), np.maximum(hi, w.max(axis=0))
                     counterexamples.extend(f"{m}, n={n}: cyclic {tuple(g.tolist())}"
-                                           for g in G[w.min(axis=0) == w.max(axis=0), 0])
+                                           for g in G[lo == hi, 0])
     return {"theorem": "rank2_equidistant", "verdict": _verdict(counterexamples),
             "extra": counterexamples, "survivors": len(counterexamples),
             "generators_scanned": scanned}

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -13,8 +14,8 @@ from leecodes import search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
-from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _pivot_columns,
-                             _placement_slots, all_subtypes,
+from leecodes.search import (SearchSpace, _column_keys, _dedup_generators, _generator_chunks,
+                             _pivot_columns, _placement_slots, _space_orders, all_subtypes,
                              check_characterization, dedup_codes, enumerate_codes,
                              find_attaining_codes, max_lee_distance_census, scan_space,
                              signed_perm_equivalent, verify_mds_socle)
@@ -149,17 +150,20 @@ def test_scan_generates_each_code_exactly_once():
 
 
 def test_scan_distances_match_brute_force():
-    spaces = [(m, n) for m in (Z4, Z5, Z7, Z8, Z9) for n in (1, 2, 3)]
-    spaces += [(m, n) for m in (Modulus(2, 4), Modulus(5, 2), Z27) for n in (1, 2)]
+    rings = [(m, n) for m in (Z4, Z5, Z7, Z8, Z9) for n in (1, 2, 3)]
+    rings += [(m, n) for m in (Modulus(2, 4), Modulus(5, 2), Z27) for n in (1, 2)]
     # n = 4 holds spaces with k_1 = n, with k_1 = 0 and with mixed subtypes
-    spaces += [(Z4, 4), (Z5, 4)]
-    for m, n in spaces:
-        for subtype in all_subtypes(m, n):
-            for G, d in scan_space(SearchSpace(m, n, subtype)):
-                words = _span_keys(m.q, G)[:, :, None] // m.q ** np.arange(n) % m.q
-                lee = np.minimum(words, m.q - words).sum(axis=2)
-                brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
-                assert np.array_equal(d, brute), (m, n, subtype)
+    rings += [(Z4, 4), (Z5, 4)]
+    spaces = [SearchSpace(m, n, subtype) for m, n in rings for subtype in all_subtypes(m, n)]
+    # many distinct columns over several placements
+    spaces += [SearchSpace(Z8, 4, (1, 1, 1)), SearchSpace(Z9, 4, (2, 1))]
+    for space in spaces:
+        q, n = space.modulus.q, space.n
+        for G, d in scan_space(space):
+            words = _span_keys(q, G)[:, :, None] // q ** np.arange(n) % q
+            lee = np.minimum(words, q - words).sum(axis=2)
+            brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
+            assert np.array_equal(d, brute), space
 
 
 def test_scan_sums_lee_weights_past_int32():
@@ -189,6 +193,57 @@ _MULTI_PLACEMENT_SPACES = [
     for m, n in [(Z4, 3), (Z4, 4), (Z8, 3), (Z9, 3)] for subtype in all_subtypes(m, n)
     if len(list(SearchSpace(m, n, subtype).placements())) > 1
 ] + [SearchSpace(Z8, 4, (1, 1, 1)), SearchSpace(Z9, 4, (1, 1)), SearchSpace(Z9, 4, (2, 1))]
+
+
+# the socle codes of rank 3 over Z/2^31 at n = 4: a base-q column key,
+# sum_i c_i q^i, would pass 2^63 at K = 3
+_SOCLE_2_31 = SearchSpace(Modulus(2, 31), 4, (0,) * 30 + (3,))
+
+
+def test_column_keys_are_exact_and_below_the_code_size():
+    assert _SOCLE_2_31.modulus.q ** _SOCLE_2_31.rank > 2**63
+    for space in _MULTI_PLACEMENT_SPACES + [_SOCLE_2_31]:
+        G = np.concatenate(list(_generator_chunks(space, 4096)))
+        cols = G.transpose(0, 2, 1).reshape(-1, space.rank)
+        keys = _column_keys(space, cols)
+        assert 0 <= keys.min() and keys.max() < math.prod(_space_orders(space)), space
+        # the key is a function of the column, so as many keys as columns
+        # means no two distinct columns share one
+        assert len(np.unique(keys)) == len(np.unique(cols, axis=0)), space
+    d = np.concatenate([d for _, d in scan_space(_SOCLE_2_31)])
+    # 2^30 times the binary [4, 3] codes: only the even-weight code has d_H 2
+    assert Counter(d.tolist()) == {2**30: 14, 2**31: 1}
+
+
+@pytest.mark.parametrize("cells", [1, 500, 5000])
+def test_multi_chunk_scans_match_one_chunk(monkeypatch, cells):
+    spaces = [SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z8, 4, (1, 1, 1)), _SOCLE_2_31]
+    whole = {space: list(scan_space(space)) for space in spaces}
+    assert all(len(chunks) == 1 for chunks in whole.values())
+    tables, build = [], search.word_table
+
+    def word_table(orders, gens, q):
+        tables.append(build(orders, gens, q))
+        return tables[-1]
+
+    monkeypatch.setattr(search, "word_table", word_table)
+    monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
+    splits = 0
+    for space, [(G_one, d_one)] in whole.items():
+        tables.clear()
+        chunks = list(scan_space(space))
+        assert np.array_equal(np.concatenate([G for G, _ in chunks]), G_one), space
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), d_one), space
+        # one table per chunk, one row per distinct non-pivot column of it
+        assert len(tables) == len(chunks), space
+        k1, n = space.subtype[0], space.n
+        for (G, _), table in zip(chunks, tables):
+            keep = np.ones((len(G), n), dtype=bool)
+            keep[np.arange(len(G))[:, None], _pivot_columns(G, k1, space.modulus.p)] = False
+            assert len(table) == len({col.tobytes() for col in G.transpose(0, 2, 1)[keep]}), space
+        ends = set(itertools.accumulate(len(G) for _, G in _placement_blocks(space)))
+        splits += sum(end not in ends for end in itertools.accumulate(len(G) for G, _ in chunks))
+    assert splits > 0
 
 
 def test_generator_chunks_fill_across_placements():
@@ -403,6 +458,28 @@ def test_characterization_rank2_equidistant_small():
     assert rep["generators_scanned"] > 0
     with pytest.raises(BudgetError):   # Z/9 n=4 holds 1,080 free cyclic codes
         check_characterization("rank2_equidistant", [Z9], 4, budget=1_000)
+
+
+def test_characterization_rank2_equidistant_needs_no_table_of_the_ring():
+    # a q-entry table of Lee weights per ring peaks at 96 MiB over Z/2^22;
+    # the 2^21 scalars of the unit generator are taken in blocks instead
+    tracemalloc.start()
+    try:
+        rep = check_characterization("rank2_equidistant", [Modulus(2, 22)], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["survivors"] == 0 and rep["generators_scanned"] == 21
+    assert peak < 24 * 2**20
+
+
+def test_characterization_rank2_equidistant_blocks_of_scalars_agree(monkeypatch):
+    # one scalar and one generator per block: every code's extremes are
+    # joined across blocks, and the p = 2 survivors must come out the same
+    whole = check_characterization("rank2_equidistant", [Z4, Z8, Z9], 3)
+    monkeypatch.setattr(search, "ENUMERATION_CHUNK", 1)
+    assert check_characterization("rank2_equidistant", [Z4, Z8, Z9], 3) == whole
+    assert whole["survivors"] > 0
 
 
 @pytest.mark.parametrize("m, n_max, scanned", [(Z9, 6, 99_463), (Z27, 3, 1_220)])
