@@ -8,18 +8,22 @@ least valuation in its row).  Every code of the subtype is generated exactly
 once, so counts of candidates are counts of codes; reported optima are
 still merged up to signed-permutation equivalence.
 
-The scan itself is vectorised: codes are materialised in chunks as a
-(B, K, n) tensor, filled across pivot placements, and the Lee weight of the
-word cG is summed column by column, as each term wt_L(<c, col>) depends on
-its column alone.  The pivot columns of the block-1 rows are unit columns
-e_t, whose terms wt_L(c_t) are the same in every code of the space, so they
-are summed once per space.  The other columns of a chunk repeat often: each
-distinct one, keyed exactly by its entries in mixed radix, is weighed once
-in one exact integer word_table cut by signed_half to one word of each pair
-c, -c, and each code's Lee sums gather its columns' rows of that table.
+The scan itself is vectorised, and the Lee weight of the word cG is summed
+column by column, as each term wt_L(<c, col>) depends on its column alone.
+The pivot columns of the block-1 rows are unit columns e_t, whose terms
+wt_L(c_t) are the same in every code of the space, so they are summed once
+per space.  Within one pivot placement each other column runs over the
+options of its own free entries, independently of the rest, so the
+placement's Lee sums are an outer sum of one small table per column: one
+broadcast add per column, each partial sum formed once.  The tables come
+from one exact integer word_table per space over the distinct column
+patterns, cut by signed_half to one word of each pair c, -c.  Placements
+are batched into capped chunks, and a placement past the cap is cut into
+runs of consecutive codes.  A chunk's generators are decoded only for the
+codes a caller keeps.
 
-Optima and attainers are merged straight from the scan's generator tensor:
-each code is keyed by its sorted codeword encodings, and the images of all
+Optima and attainers are merged straight from the kept generators: each
+code is keyed by its sorted codeword encodings, and the images of all
 codes under each generator of the signed-permutation group are looked up
 among those keys.  Every predicate kept reads d_L only, so the kept set of a
 whole space is closed under the group and its orbit components are its
@@ -35,6 +39,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,7 +50,7 @@ from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
 ENUMERATION_CHUNK = 4096      # generators decoded at a time outside scan_space
-SCAN_CHUNK_CELLS = 16_000_000  # codeword cells per chunk of scan_space
+SCAN_CHUNK_CELLS = 16_000_000  # scan_space chunks: this // (width * n) codes, width Lee sums each
 EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
 EQUIVALENCE_CAP = 500_000     # generator tuples one equivalence check may walk
 
@@ -163,6 +168,17 @@ def _placement_slots(space: SearchSpace, placement):
     return base, slots
 
 
+def _decode(base: np.ndarray, slots, rem: np.ndarray) -> np.ndarray:
+    """The generators of one placement at its code indices `rem`, each index
+    read in mixed radix over the slots' radices, the last slot fastest:
+    shape (len(rem), K, n), int64."""
+    G = np.repeat(base[None], len(rem), axis=0)
+    for (row, col, scale, radix) in reversed(slots):
+        G[:, row, col] = (rem % radix) * scale   # below p^s = q
+        rem = rem // radix
+    return G
+
+
 def _generator_chunks(space: SearchSpace, chunk: int):
     """Yield the standard generators of the space as (B, K, n) tensors of
     `chunk` each but the last, placement by placement, the last slot fastest.
@@ -178,12 +194,7 @@ def _generator_chunks(space: SearchSpace, chunk: int):
         done = 0
         while done < total:
             take = min(chunk - fill, total - done)
-            rem = np.arange(done, done + take, dtype=np.int64)
-            part = G[fill:fill + take]
-            part[:] = base
-            for (row, col, scale, radix) in reversed(slots):
-                part[:, row, col] = (rem % radix) * scale   # below p^s = q
-                rem //= radix
+            G[fill:fill + take] = _decode(base, slots, np.arange(done, done + take))
             done += take
             fill += take
             if fill == chunk:
@@ -225,44 +236,144 @@ def _lee_sum_dtype(n: int, q: int):
     return np.int64
 
 
-def _pivot_columns(G: np.ndarray, k1: int, p: int) -> np.ndarray:
-    """The pivot column of each block-1 row of each generator of G (B, K, n),
-    shape (B, k1): the row's first unit entry, since _placement_slots makes
-    every entry to its left a multiple of p.  Column pivots[b, t] of G[b] is
-    the unit column e_t, as every other row is 0 at a block-1 pivot."""
-    return (G[:, :k1] % p != 0).argmax(axis=2)
+def _placement_columns(base: np.ndarray, slots, pivots):
+    """The columns of one placement other than the block-1 pivots, as
+    (options, pattern, slot indices), fewest options first.  A pattern is the
+    column's base entries with the (row, scale, radix) of each of its slots,
+    in row order; its options, the product of those radices, are the
+    column's entries in the placement's codes.  The block-1 pivot columns
+    are left out: _placement_slots gives them no slot, so each is a unit
+    column e_t of the base."""
+    at = [[] for _ in range(base.shape[1])]
+    own = [[] for _ in range(base.shape[1])]
+    for i, (row, col, scale, radix) in enumerate(slots):
+        at[col].append(i)
+        own[col].append((row, scale, radix))
+    columns = []
+    for b, entries in enumerate(base.T.tolist()):
+        if b not in pivots:
+            options = 1
+            for _, _, radix in own[b]:
+                options *= radix
+            columns.append((options, (tuple(entries), tuple(own[b])), at[b]))
+    columns.sort(key=itemgetter(0))
+    return columns
 
 
-def _column_keys(space: SearchSpace, cols: np.ndarray) -> np.ndarray:
-    """An exact key in [0, |C|) of each column of `cols` (N, K), columns of
-    standard generators of the space.  The entry of a block-i row is
-    p^(i-1) * x with x below the row's order, so the x of a column, read in
-    mixed radix over _space_orders, key it injectively; |C| is at most
-    ENUMERATION_BUDGET, so the key never wraps."""
-    q = space.modulus.q
-    keys = np.zeros(len(cols), dtype=np.int64)
-    for order, entries in zip(_space_orders(space), cols.T):
-        keys *= order
-        keys += entries // (q // order)
-    return keys
+def _pattern_columns(K: int, patterns) -> np.ndarray:
+    """The columns of each (pattern, ranges) of `patterns` in turn, the
+    pattern's slot digits running over its ranges, one (lo, hi) per slot, the
+    last slot fastest: shape (N, K).  A column has at most one slot per row,
+    so row k of the j-th column of a pattern is its base entry plus
+    (lo + (j // stride) % size) times the scale of its row-k slot."""
+    counts, rows, start = [], [], 0
+    for (entries, slots), ranges in patterns:
+        count = math.prod(hi - lo for lo, hi in ranges)
+        # (lo, size, stride, scale, first column) of each row's slot
+        step = [(0, 1, 1, 0, start)] * K
+        stride = count
+        for (row, scale, _), (lo, hi) in zip(slots, ranges):
+            stride //= hi - lo
+            step[row] = (lo, hi - lo, stride, scale, start)
+        counts.append(count)
+        rows.append([[entry, *fields] for entry, fields in zip(entries, step)])
+        start += count
+    rows = np.repeat(np.array(rows, dtype=np.int64), counts, axis=0)
+    entry, lo, size, stride, scale, first = rows.transpose(2, 0, 1)
+    j = np.arange(start)[:, None] - first
+    return entry + (lo + j // stride % size) * scale
+
+
+def _boxes(radices, cap: int):
+    """Split the codes of one placement, indexed in mixed radix over the
+    slots' `radices` (the last fastest), into boxes of at most `cap` codes,
+    each a (lo, hi) digit range per slot.  A placement of at most `cap`
+    codes is one box.  A larger one takes the longest run of last slots
+    that fits whole, steps the slot before it in ranges that fit, and fixes
+    the digits of the slots before that, so each box is a run of consecutive
+    codes."""
+    whole = [(0, radix) for radix in radices]
+    free, tail = len(radices), 1
+    while free and tail * radices[free - 1] <= cap:
+        free -= 1
+        tail *= radices[free]
+    if not free:
+        yield whole
+        return
+    split, step = free - 1, cap // tail
+    for lead in itertools.product(*map(range, radices[:split])):
+        for lo in range(0, radices[split], step):
+            yield ([(x, x + 1) for x in lead] + [(lo, min(lo + step, radices[split]))]
+                   + whole[free:])
+
+
+def _outer_sums(first: np.ndarray, tables) -> np.ndarray:
+    """first (w,) plus one row of each table (r_j, w), over every choice of
+    rows, the first table's row slowest: shape (prod r_j, w).  Each add
+    broadcasts the sums over a prefix of the tables against the next table's
+    rows, so every partial sum is formed once."""
+    lee = first[None]
+    for table in tables:
+        lee = (lee[:, None] + table).reshape(-1, len(first))
+    return lee
+
+
+class _ChunkGenerators:
+    """The generators of one scan_space chunk, decoded only when indexed.
+
+    The chunk is a list of runs of consecutive codes of one placement.
+    G[index], for an index of a 1-D array of len(G) codes (a boolean mask,
+    an index array, a slice or an integer), decodes only the codes it names,
+    as int64 generators of shape (..., K, n); G[:] decodes them all.  An
+    integer past the end raises IndexError, so iteration stops."""
+
+    def __init__(self, shape, runs):
+        self._shape = shape
+        self._runs = runs   # (base, slots, first code index in the placement, count)
+        self._offsets = list(itertools.accumulate((count for *_, count in runs), initial=0))
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __getitem__(self, index) -> np.ndarray:
+        at = np.arange(len(self))[index]
+        flat = at.reshape(-1)
+        G = np.empty((len(flat), *self._shape), dtype=np.int64)
+        if not len(flat):   # most masks keep nothing
+            return G.reshape(*at.shape, *self._shape)
+        run = np.searchsorted(self._offsets, flat, side="right") - 1
+        for r in np.flatnonzero(np.bincount(run, minlength=len(self._runs))):
+            base, slots, start, _ = self._runs[r]
+            pick = run == r
+            G[pick] = _decode(base, slots, flat[pick] - self._offsets[r] + start)
+        return G.reshape(*at.shape, *self._shape)
 
 
 def scan_space(space: SearchSpace):
-    """Yield (G_chunk, d_chunk) over the space: generator tensors of shape
-    (B, K, n) and their minimum Lee distances (B,), int64.
+    """Yield (G_chunk, d_chunk) over the space, in generator order: the
+    chunk's generators, decoded on indexing (G_chunk[mask] is the (B_kept,
+    K, n) int64 tensor of the codes the mask keeps, G_chunk[:] all B), and
+    their minimum Lee distances (B,), int64.
 
     d_L(cG) is the sum over the columns of wt_L(<c, col>), each term fixed by
     its column alone.  The pivot column of block-1 row t is the unit column
     e_t, so its term is wt_L(c_t) in every code of the space: those terms
-    are summed once per space.  The other n - k_1 columns of a chunk's
-    generators repeat often, so each distinct one is weighed once, in one
-    exact integer word_table whose first row is cut by signed_half, and each
-    code's Lee sums gather its columns' rows of that table.  The words kept
-    hold c or -c for every codeword c, of the same Lee weight, so their least
-    nonzero weight is d_L.  A chunk may span several pivot placements, since
-    the pivots are read per generator."""
-    p, q = space.modulus.p, space.modulus.q
-    K, n = space.rank, space.n
+    are summed once per space.  Within one pivot placement every other column
+    runs over its slots' options independently of the rest, so the
+    placement's Lee sums are an outer sum of one small table per column.  The
+    columns' patterns (base entries and slots) repeat across placements, and
+    one exact integer word_table per space, cut by signed_half, weighs each
+    option of each distinct pattern once, fewest options first, up to the
+    chunk cap in rows; a pattern past that is weighed per box instead, so no
+    table outgrows a chunk.  Each placement adds its columns' tables in one
+    broadcast each, fewest options first, takes the least nonzero weight of
+    each code, and transposes the slot axes back to generator order.  The
+    words kept hold c or -c for every codeword c, of the same Lee weight, so
+    their least nonzero weight is d_L.  Placements are batched into chunks
+    of at most SCAN_CHUNK_CELLS // (width * n) codes, and a larger placement
+    is cut into boxes of consecutive codes, so no chunk forms more Lee sums
+    than that many codes times the signed-half width."""
+    q, K, n = space.modulus.q, space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
     k1 = space.subtype[0]
@@ -276,26 +387,76 @@ def scan_space(space: SearchSpace):
         c = np.arange(order)
         fixed = np.add.outer(fixed, np.minimum(c, q - c).astype(dtype)).ravel()
     fixed = np.repeat(fixed, width // len(fixed))
-    for G in _generator_chunks(space, max(1, SCAN_CHUNK_CELLS // (width * n))):
-        B = len(G)
-        if k1 == n:
-            lee = np.broadcast_to(fixed, (B, width))
-        else:
-            keep = np.ones((B, n), dtype=bool)
-            keep[np.arange(B)[:, None], _pivot_columns(G, k1, p)] = False
-            cols = G.transpose(0, 2, 1)[keep]   # (B * (n - k1), K), per generator
-            distinct, inv = np.unique(_column_keys(space, cols), return_inverse=True)
-            # a position of each distinct key, any one naming its column
-            at = np.empty(len(distinct), dtype=np.intp)
-            at[inv] = np.arange(len(inv))
-            words = word_table(orders, cols[at].T, q)   # (distinct columns, width)
-            np.minimum(words, q - words, out=words)
-            table = words.astype(dtype, copy=False)
-            inv = inv.reshape(B, n - k1)
-            lee = fixed + table[inv[:, 0]]
-            for j in range(1, n - k1):
-                lee += table[inv[:, j]]
-        yield G, lee[:, 1:].min(axis=1).astype(np.int64)
+    space.check_budget()
+    cap = max(1, SCAN_CHUNK_CELLS // (width * n))
+
+    def lee_rows(selection):
+        words = word_table(orders, _pattern_columns(K, selection).T, q)   # (columns, width)
+        np.minimum(words, q - words, out=words)
+        return words.astype(dtype, copy=False)
+
+    layouts, patterns = [], {}   # pattern -> options
+    for placement in space.placements():
+        base, slots = _placement_slots(space, placement)
+        columns = _placement_columns(base, slots, placement[0])
+        for options, pattern, _ in columns:
+            patterns[pattern] = options
+        order = [i for *_, at in columns for i in at]   # the slots in column order
+        radices = [radix for *_, radix in slots]
+        axes = sorted(range(len(order)), key=order.__getitem__)
+        layouts.append((base, slots, columns, radices, math.prod(radices), order,
+                        None if axes == list(range(len(axes))) else axes))
+    # the patterns of fewest options, up to `cap` options in all, share one table
+    held, rows = [], 0
+    for options, pattern in sorted((options, pattern) for pattern, options in patterns.items()):
+        if rows + options > cap:
+            break
+        held.append((pattern, rows, rows + options))
+        rows += options
+    tables = {}
+    if held:
+        table = lee_rows([(pattern, [(0, radix) for *_, radix in pattern[1]])
+                          for pattern, _, _ in held])
+        tables = {pattern: table[lo:hi] for pattern, lo, hi in held}
+
+    runs, parts, fill = [], [], 0
+    for base, slots, columns, radices, total, order, axes in layouts:
+        full = [tables.get(pattern) for _, pattern, _ in columns]
+        whole = total <= cap and all(table is not None for table in full)
+        # a column outside the shared table is weighed per box, and its rows
+        # are kept while the next boxes of the placement share its digit ranges
+        built = {}
+        for box in [None] if whole else _boxes(radices, cap):
+            if box is None:
+                sizes, count, column_tables = radices, total, full
+            else:
+                sizes = [hi - lo for lo, hi in box]
+                count = math.prod(sizes)
+                column_tables = []
+                for j, (_, pattern, at) in enumerate(columns):
+                    ranges = [box[i] for i in at]
+                    if pattern in tables:   # the box's rows of the pattern's options
+                        table = tables[pattern].reshape(*(r for *_, r in pattern[1]), width)
+                        table = table[tuple(itertools.starmap(slice, ranges))].reshape(-1, width)
+                    elif j in built and built[j][0] == ranges:
+                        table = built[j][1]
+                    else:
+                        table = lee_rows([(pattern, ranges)])
+                        built[j] = ranges, table
+                    column_tables.append(table)
+            if fill + count > cap:
+                yield _ChunkGenerators((K, n), runs), np.concatenate(parts, dtype=np.int64)
+                runs, parts, fill = [], [], 0
+            d = _outer_sums(fixed, column_tables)[:, 1:].min(axis=1)
+            if axes is not None:   # from column order back to slot order
+                d = d.reshape([sizes[i] for i in order]).transpose(axes).reshape(-1)
+            parts.append(d)
+            start = 0
+            for (lo, _), radix in zip(box or (), radices):
+                start = start * radix + lo
+            runs.append((base, slots, start, count))
+            fill += count
+    yield _ChunkGenerators((K, n), runs), np.concatenate(parts, dtype=np.int64)
 
 
 @dataclass
@@ -354,7 +515,7 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
     counts = Counter()
     examined = 0
     max_d = -1
-    best: list[np.ndarray] = []
+    best = []   # (chunk generators, mask of its codes at max_d), decoded at the end
     for G, d in scan_space(space):
         examined += len(d)
         for name, test in tests.items():
@@ -364,8 +525,8 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
             max_d = top
             best = []
         if top == max_d:
-            best.append(G[d == max_d])
-    codes = _dedup_generators(space, _stack(space, best))
+            best.append((G, d == max_d))
+    codes = _dedup_generators(space, _stack(space, [G[keep] for G, keep in best]))
     return CensusResult(space, max_d, codes, examined, dict(counts))
 
 

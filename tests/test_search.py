@@ -14,11 +14,10 @@ from leecodes import search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
-from leecodes.search import (SearchSpace, _column_keys, _dedup_generators, _generator_chunks,
-                             _pivot_columns, _placement_slots, _space_orders, all_subtypes,
-                             check_characterization, dedup_codes, enumerate_codes,
-                             find_attaining_codes, max_lee_distance_census, scan_space,
-                             signed_perm_equivalent, verify_mds_socle)
+from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _placement_slots,
+                             _space_orders, all_subtypes, check_characterization, dedup_codes,
+                             enumerate_codes, find_attaining_codes, max_lee_distance_census,
+                             scan_space, signed_perm_equivalent, verify_mds_socle)
 
 Z2 = Modulus(2, 1)
 Z3 = Modulus(3, 1)
@@ -138,7 +137,7 @@ def test_scan_generates_each_code_exactly_once():
             del brute[(0,) * m.s]
             for subtype in all_subtypes(m, n):
                 space = SearchSpace(m, n, subtype)
-                G = np.concatenate([G for G, _ in scan_space(space)])
+                G = np.concatenate([G[:] for G, _ in scan_space(space)])
                 assert len(G) == _code_count(m.p, n, subtype) == space.candidate_count(), \
                     (m, n, subtype)
                 assert len(np.unique(_span_keys(m.q, G), axis=0)) == len(G), (m, n, subtype)
@@ -160,7 +159,7 @@ def test_scan_distances_match_brute_force():
     for space in spaces:
         q, n = space.modulus.q, space.n
         for G, d in scan_space(space):
-            words = _span_keys(q, G)[:, :, None] // q ** np.arange(n) % q
+            words = _span_keys(q, G[:])[:, :, None] // q ** np.arange(n) % q
             lee = np.minimum(words, q - words).sum(axis=2)
             brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
             assert np.array_equal(d, brute), space
@@ -195,31 +194,43 @@ _MULTI_PLACEMENT_SPACES = [
 ] + [SearchSpace(Z8, 4, (1, 1, 1)), SearchSpace(Z9, 4, (1, 1)), SearchSpace(Z9, 4, (2, 1))]
 
 
-# the socle codes of rank 3 over Z/2^31 at n = 4: a base-q column key,
-# sum_i c_i q^i, would pass 2^63 at K = 3
+# the socle codes of rank 3 over Z/2^31 at n = 4: q^K passes 2^63, so no
+# exact key of a column in base q fits an int64
 _SOCLE_2_31 = SearchSpace(Modulus(2, 31), 4, (0,) * 30 + (3,))
 
+# spaces with many distinct columns over several placements
+_CAPPED_SPACES = [SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z8, 4, (1, 1, 1)), _SOCLE_2_31]
 
-def test_column_keys_are_exact_and_below_the_code_size():
+
+def _column_patterns(space):
+    """The distinct patterns of the space's non-pivot columns, each as its
+    base column and the (row, scale, radix) of its slots, with its options."""
+    patterns = {}
+    for placement in space.placements():
+        base, slots = _placement_slots(space, placement)
+        for b in set(range(space.n)) - set(placement[0]):
+            own = tuple((row, scale, radix) for row, col, scale, radix in slots if col == b)
+            patterns[tuple(base[:, b]), own] = math.prod(radix for *_, radix in own)
+    return patterns
+
+
+def _cap(space) -> int:
+    width = math.prod(search.signed_half(_space_orders(space)))
+    return max(1, search.SCAN_CHUNK_CELLS // (width * space.n))
+
+
+def test_scan_sums_socle_codes_past_2_63():
     assert _SOCLE_2_31.modulus.q ** _SOCLE_2_31.rank > 2**63
-    for space in _MULTI_PLACEMENT_SPACES + [_SOCLE_2_31]:
-        G = np.concatenate(list(_generator_chunks(space, 4096)))
-        cols = G.transpose(0, 2, 1).reshape(-1, space.rank)
-        keys = _column_keys(space, cols)
-        assert 0 <= keys.min() and keys.max() < math.prod(_space_orders(space)), space
-        # the key is a function of the column, so as many keys as columns
-        # means no two distinct columns share one
-        assert len(np.unique(keys)) == len(np.unique(cols, axis=0)), space
-    d = np.concatenate([d for _, d in scan_space(_SOCLE_2_31)])
+    chunks = list(scan_space(_SOCLE_2_31))
+    G = np.concatenate([G[:] for G, _ in chunks])
+    assert np.array_equal(G, np.concatenate(list(_generator_chunks(_SOCLE_2_31, 4096))))
+    d = np.concatenate([d for _, d in chunks])
     # 2^30 times the binary [4, 3] codes: only the even-weight code has d_H 2
     assert Counter(d.tolist()) == {2**30: 14, 2**31: 1}
 
 
 @pytest.mark.parametrize("cells", [1, 500, 5000])
 def test_multi_chunk_scans_match_one_chunk(monkeypatch, cells):
-    spaces = [SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z8, 4, (1, 1, 1)), _SOCLE_2_31]
-    whole = {space: list(scan_space(space)) for space in spaces}
-    assert all(len(chunks) == 1 for chunks in whole.values())
     tables, build = [], search.word_table
 
     def word_table(orders, gens, q):
@@ -227,23 +238,98 @@ def test_multi_chunk_scans_match_one_chunk(monkeypatch, cells):
         return tables[-1]
 
     monkeypatch.setattr(search, "word_table", word_table)
+    whole = {}
+    for space in _CAPPED_SPACES:
+        tables.clear()
+        whole[space] = list(scan_space(space))
+        assert len(whole[space]) == 1, space
+        # one table per space, one row per option of each distinct column pattern
+        assert [len(table) for table in tables] == [sum(_column_patterns(space).values())], space
     monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
     splits = 0
     for space, [(G_one, d_one)] in whole.items():
         tables.clear()
         chunks = list(scan_space(space))
-        assert np.array_equal(np.concatenate([G for G, _ in chunks]), G_one), space
+        assert np.array_equal(np.concatenate([G[:] for G, _ in chunks]), G_one[:]), space
         assert np.array_equal(np.concatenate([d for _, d in chunks]), d_one), space
-        # one table per chunk, one row per distinct non-pivot column of it
-        assert len(tables) == len(chunks), space
-        k1, n = space.subtype[0], space.n
-        for (G, _), table in zip(chunks, tables):
-            keep = np.ones((len(G), n), dtype=bool)
-            keep[np.arange(len(G))[:, None], _pivot_columns(G, k1, space.modulus.p)] = False
-            assert len(table) == len({col.tobytes() for col in G.transpose(0, 2, 1)[keep]}), space
+        # no table, shared by the space or built for one box, outgrows a chunk
+        assert tables and all(len(table) <= _cap(space) for table in tables), space
         ends = set(itertools.accumulate(len(G) for _, G in _placement_blocks(space)))
         splits += sum(end not in ends for end in itertools.accumulate(len(G) for G, _ in chunks))
     assert splits > 0
+
+
+def test_scan_splits_placements_past_the_chunk_cap(monkeypatch):
+    sums, outer = [], search._outer_sums
+
+    def outer_sums(first, tables):
+        sums.append(outer(first, tables))
+        return sums[-1]
+
+    decoded, decode = [], search._decode
+
+    def counted_decode(base, slots, rem):
+        decoded.append(len(rem))
+        return decode(base, slots, rem)
+
+    monkeypatch.setattr(search, "_outer_sums", outer_sums)
+    monkeypatch.setattr(search, "_decode", counted_decode)
+    cells = search.SCAN_CHUNK_CELLS
+    for space in _CAPPED_SPACES:
+        monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
+        [(G_one, d_one)] = scan_space(space)
+        G_one = G_one[:]
+        width = math.prod(search.signed_half(_space_orders(space)))
+        sizes = [len(G) for _, G in _placement_blocks(space)]
+        # a cap of a third of the largest placement
+        monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", max(sizes) // 3 * width * space.n)
+        cap = _cap(space)
+        assert max(sizes) > 2 * cap, space
+        chunks, sums[:] = [], []
+        for G, d in scan_space(space):
+            chunks.append((G[:], d))
+            # the Lee sums this chunk formed
+            assert len(d) <= cap and sum(lee.size for lee in sums) <= cap * width, space
+            assert all(lee.shape[1] == width for lee in sums), space
+            sums.clear()
+        # each chunk is a run of consecutive codes in generator order
+        assert np.array_equal(np.concatenate([G for G, _ in chunks]), G_one), space
+        assert np.array_equal(np.concatenate([d for _, d in chunks]), d_one), space
+        # the largest placement spans at least three chunks
+        start = sum(sizes[:sizes.index(max(sizes))])
+        inner = [end for end in itertools.accumulate(len(d) for _, d in chunks)
+                 if start < end < start + max(sizes)]
+        assert len(inner) >= 2, space
+        # the census decodes only the codes it keeps, the optimal ones
+        decoded.clear()
+        result = max_lee_distance_census(space)
+        assert result.max_d == d_one.max()
+        assert sum(decoded) == (d_one == d_one.max()).sum() > 0, space
+
+
+def test_scan_chunks_decode_on_indexing(monkeypatch):
+    rng = np.random.default_rng(1)
+    space = SearchSpace(Z9, 4, (2, 1))
+    # a cap of 1000 codes: the largest placement, of 2187, is split, and the
+    # small ones share chunks
+    monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", 1000 * 135 * 4)
+    assert _cap(space) == 1000
+    for G, d in scan_space(space):
+        full = G[:]
+        assert full.shape == (len(d), space.rank, space.n) and full.dtype == np.int64
+        mask = rng.random(len(G)) < 0.5
+        assert np.array_equal(G[mask], full[mask])
+        pick = rng.permutation(len(G))[:len(G) // 2]
+        assert np.array_equal(G[pick], full[pick])
+        assert np.array_equal(G[-1], full[-1]) and np.array_equal(G[1:3], full[1:3])
+        # an integer past the end raises IndexError, so iteration stops
+        assert np.array_equal(np.array(list(G)), full)
+        with pytest.raises(IndexError):
+            G[len(G)]
+    # some chunk holds the codes of more than one placement
+    ends = set(itertools.accumulate(len(G) for _, G in _placement_blocks(space)))
+    offsets = list(itertools.accumulate(len(d) for _, d in scan_space(space)))
+    assert any(a < end < b for a, b in zip([0] + offsets, offsets) for end in ends)
 
 
 def test_generator_chunks_fill_across_placements():
@@ -257,13 +343,15 @@ def test_generator_chunks_fill_across_placements():
 
 
 def test_scan_drops_the_block1_pivot_unit_columns():
+    # the scan sums the block-1 pivot columns' weights once per space, as
+    # each is the unit column e_t of the base and carries no slot
     for space in _MULTI_PLACEMENT_SPACES:
-        k1, p = space.subtype[0], space.modulus.p
         unit = np.eye(space.rank, dtype=np.int64)
         for placement, G in _placement_blocks(space):
-            pivots = _pivot_columns(G, k1, p)
-            assert (pivots == np.array(placement[0], dtype=np.int64)).all(), (space, placement)
+            base, slots = _placement_slots(space, placement)
             for t, col in enumerate(placement[0]):
+                assert (base[:, col] == unit[t]).all(), (space, placement)
+                assert all(c != col for _, c, _, _ in slots), (space, placement)
                 assert (G[:, :, col] == unit[t]).all(), (space, placement)
 
 
@@ -435,7 +523,7 @@ def test_dedup_codes_keeps_one_code_per_orbit():
                 kept = [_orbit_key(c) for c in unique]
                 assert len(set(kept)) == len(kept), (m, n, subtype)
                 assert set(kept) == {_orbit_key(c) for c in codes}, (m, n, subtype)
-                G = np.concatenate([G for G, _ in scan_space(space)])
+                G = np.concatenate([G[:] for G, _ in scan_space(space)])
                 assert [c.rows for c in _dedup_generators(space, G)] \
                     == [c.rows for c in unique], (m, n, subtype)
     assert total == 1648
