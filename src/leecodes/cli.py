@@ -31,8 +31,18 @@ def _load_code(path: str) -> LinearCode:
             return parse_code_text(fh.read())
     except FileNotFoundError:
         _fail(f"no such file: {path}")
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror}")
     except ValueError as exc:
         _fail(str(exc))
+
+
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror}")
 
 
 def _subtype_from_flags(s, subtype, ks):
@@ -155,8 +165,7 @@ def construct_equidistant(p, s, level, rank, ell, out):
         _fail(str(exc))
     text = format_code_text(code, comments)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -184,8 +193,7 @@ def construct_mld(p, s, n, index, out):
         _fail(str(exc))
     text = format_code_text(code, comments)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         click.echo(text, nl=False)
 
@@ -221,8 +229,7 @@ def cmd_table1(csv_path, no_census):
     rep = report_mod.table_report(run_census=not no_census)
     csv_text = report_mod.table_csv(rep)
     if csv_path:
-        with open(csv_path, "w") as fh:
-            fh.write(csv_text)
+        _write(csv_path, csv_text)
     else:
         click.echo(csv_text, nl=False)
     if rep.mismatches:

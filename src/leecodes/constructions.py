@@ -75,11 +75,14 @@ def _repeat_each(elems, times):
 
 
 def equidistant_rank1(spec: EquidistantSpec) -> LinearCode:
-    """Shortest-length Lee-equidistant cyclic code with k_i = 1.
+    """Lee-equidistant cyclic code with k_i = 1.
 
     For s = 1 this is <(1, 2, ..., (p-1)/2)> (one copy per sign class); for
     s >= 2 the generator takes p copies of every level-(i-1) sign class and
-    p-1 copies of every deeper non-socle class.
+    p-1 copies of every deeper non-socle class.  At level i = s >= 2 there is
+    no deeper non-socle class, so the code is the p-fold replica of
+    <p^(s-1) * (1, 2, ..., (p-1)/2)>, itself Lee-equidistant and p times
+    shorter.
     """
     if spec.rank != 1:
         raise ValueError("spec is not rank 1")

@@ -10,17 +10,15 @@ still merged up to signed-permutation equivalence.
 
 The scan itself is vectorised, and the Lee weight of the word cG is summed
 column by column, as each term wt_L(<c, col>) depends on its column alone.
-The pivot columns of the block-1 rows are unit columns e_t, whose terms
-wt_L(c_t) are the same in every code of the space, so they are summed once
-per space.  Within one pivot placement each other column runs over the
-options of its own free entries, independently of the rest, so the
-placement's Lee sums are an outer sum of one small table per column: one
-broadcast add per column, each partial sum formed once.  The tables come
-from one exact integer word_table per space over the distinct column
-patterns, cut by signed_half to one word of each pair c, -c.  Placements
-are batched into capped chunks, and a placement past the cap is cut into
-runs of consecutive codes.  A chunk's generators are decoded only for the
-codes a caller keeps.
+Within one pivot placement each column runs over the options of its own
+free entries, independently of the rest (a block-1 pivot column, the unit
+column e_t, has one option), so the placement's Lee sums are an outer sum
+of one small table per column: one broadcast add per column, each partial
+sum formed once.  The tables come from one exact integer word_table per
+space over the distinct column patterns, cut by signed_half to one word of
+each pair c, -c.  Placements are batched into capped chunks, and a
+placement past the cap is cut into runs of consecutive codes.  A chunk's
+generators are decoded only for the codes a caller keeps.
 
 Optima and attainers are merged straight from the kept generators: each
 code is keyed by its sorted codeword encodings, and the images of all
@@ -49,7 +47,7 @@ from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, signed_half, wo
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
-ENUMERATION_CHUNK = 4096      # generators decoded at a time outside scan_space
+ENUMERATION_CHUNK = 4096      # generators decoded, or rank-2 check scalars, at a time
 SCAN_CHUNK_CELLS = 16_000_000  # scan_space chunks: this // (width * n) codes, width Lee sums each
 EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
 EQUIVALENCE_CAP = 500_000     # generator tuples one equivalence check may walk
@@ -58,6 +56,7 @@ __all__ = [
     "SearchSpace",
     "CensusResult",
     "enumerate_codes",
+    "scan_space",
     "max_lee_distance_census",
     "find_attaining_codes",
     "verify_mds_socle",
@@ -180,28 +179,16 @@ def _decode(base: np.ndarray, slots, rem: np.ndarray) -> np.ndarray:
 
 
 def _generator_chunks(space: SearchSpace, chunk: int):
-    """Yield the standard generators of the space as (B, K, n) tensors of
-    `chunk` each but the last, placement by placement, the last slot fastest.
-    A chunk is filled across placement boundaries, so it may hold the
-    generators of several placements.  The zero-code space yields one
-    all-zero (1, 1, n) generator."""
+    """Yield the standard generators of the space as (B, K, n) tensors of at
+    most `chunk` each, placement by placement, the last slot fastest; no
+    chunk spans two placements.  The zero-code space yields one all-zero
+    (1, 1, n) generator."""
     space.check_budget()
-    chunk = min(chunk, space.candidate_count())
-    G, fill = np.empty((chunk, max(space.rank, 1), space.n), dtype=np.int64), 0
     for placement in space.placements():
         base, slots = _placement_slots(space, placement)
         total = math.prod(radix for (_, _, _, radix) in slots)
-        done = 0
-        while done < total:
-            take = min(chunk - fill, total - done)
-            G[fill:fill + take] = _decode(base, slots, np.arange(done, done + take))
-            done += take
-            fill += take
-            if fill == chunk:
-                yield G
-                G, fill = np.empty_like(G), 0
-    if fill:
-        yield G[:fill]
+        for start in range(0, total, chunk):
+            yield _decode(base, slots, np.arange(start, min(start + chunk, total)))
 
 
 def enumerate_codes(space: SearchSpace):
@@ -236,14 +223,12 @@ def _lee_sum_dtype(n: int, q: int):
     return np.int64
 
 
-def _placement_columns(base: np.ndarray, slots, pivots):
-    """The columns of one placement other than the block-1 pivots, as
-    (options, pattern, slot indices), fewest options first.  A pattern is the
-    column's base entries with the (row, scale, radix) of each of its slots,
-    in row order; its options, the product of those radices, are the
-    column's entries in the placement's codes.  The block-1 pivot columns
-    are left out: _placement_slots gives them no slot, so each is a unit
-    column e_t of the base."""
+def _placement_columns(base: np.ndarray, slots):
+    """The columns of one placement as (options, pattern, slot indices),
+    fewest options first.  A pattern is the column's base entries with the
+    (row, scale, radix) of each of its slots, in row order; its options, the
+    product of those radices, are the column's entries in the placement's
+    codes."""
     at = [[] for _ in range(base.shape[1])]
     own = [[] for _ in range(base.shape[1])]
     for i, (row, col, scale, radix) in enumerate(slots):
@@ -251,11 +236,10 @@ def _placement_columns(base: np.ndarray, slots, pivots):
         own[col].append((row, scale, radix))
     columns = []
     for b, entries in enumerate(base.T.tolist()):
-        if b not in pivots:
-            options = 1
-            for _, _, radix in own[b]:
-                options *= radix
-            columns.append((options, (tuple(entries), tuple(own[b])), at[b]))
+        options = 1
+        for _, _, radix in own[b]:
+            options *= radix
+        columns.append((options, (tuple(entries), tuple(own[b])), at[b]))
     columns.sort(key=itemgetter(0))
     return columns
 
@@ -307,14 +291,14 @@ def _boxes(radices, cap: int):
                    + whole[free:])
 
 
-def _outer_sums(first: np.ndarray, tables) -> np.ndarray:
-    """first (w,) plus one row of each table (r_j, w), over every choice of
-    rows, the first table's row slowest: shape (prod r_j, w).  Each add
-    broadcasts the sums over a prefix of the tables against the next table's
-    rows, so every partial sum is formed once."""
-    lee = first[None]
-    for table in tables:
-        lee = (lee[:, None] + table).reshape(-1, len(first))
+def _outer_sums(tables) -> np.ndarray:
+    """The sum of one row of each table (r_j, w), over every choice of rows,
+    the first table's row slowest: shape (prod r_j, w).  Each add broadcasts
+    the sums over a prefix of the tables against the next table's rows, so
+    every partial sum is formed once."""
+    lee = tables[0]
+    for table in tables[1:]:
+        lee = (lee[:, None] + table).reshape(-1, lee.shape[1])
     return lee
 
 
@@ -356,37 +340,28 @@ def scan_space(space: SearchSpace):
     their minimum Lee distances (B,), int64.
 
     d_L(cG) is the sum over the columns of wt_L(<c, col>), each term fixed by
-    its column alone.  The pivot column of block-1 row t is the unit column
-    e_t, so its term is wt_L(c_t) in every code of the space: those terms
-    are summed once per space.  Within one pivot placement every other column
-    runs over its slots' options independently of the rest, so the
-    placement's Lee sums are an outer sum of one small table per column.  The
-    columns' patterns (base entries and slots) repeat across placements, and
-    one exact integer word_table per space, cut by signed_half, weighs each
-    option of each distinct pattern once, fewest options first, up to the
-    chunk cap in rows; a pattern past that is weighed per box instead, so no
-    table outgrows a chunk.  Each placement adds its columns' tables in one
-    broadcast each, fewest options first, takes the least nonzero weight of
-    each code, and transposes the slot axes back to generator order.  The
-    words kept hold c or -c for every codeword c, of the same Lee weight, so
-    their least nonzero weight is d_L.  Placements are batched into chunks
-    of at most SCAN_CHUNK_CELLS // (width * n) codes, and a larger placement
-    is cut into boxes of consecutive codes, so no chunk forms more Lee sums
+    its column alone.  Within one pivot placement every column runs over its
+    slots' options independently of the rest, so the placement's Lee sums
+    are an outer sum of one small table per column.  The columns' patterns
+    (base entries and slots) repeat across placements, and one exact integer
+    word_table per space, cut by signed_half, weighs each option of each
+    distinct pattern once, fewest options first, up to the chunk cap in rows;
+    a pattern past that is weighed per box instead, so no table outgrows a
+    chunk.  Each placement adds its columns' tables in one broadcast each,
+    fewest options first (a slotless column, such as the unit column e_t of
+    a block-1 pivot, is one row), takes the least nonzero weight of each
+    code, and transposes the slot axes back to generator order.  The words
+    kept hold c or -c for every codeword c, of the same Lee weight, so their
+    least nonzero weight is d_L.  Placements are batched into chunks of at
+    most SCAN_CHUNK_CELLS // (width * n) codes, and a larger placement is
+    cut into boxes of consecutive codes, so no chunk forms more Lee sums
     than that many codes times the signed-half width."""
     q, K, n = space.modulus.q, space.rank, space.n
     if K == 0:
         raise ValueError("the zero-code space has no minimum distance")
-    k1 = space.subtype[0]
     orders = signed_half(_space_orders(space))
     width = math.prod(orders)
     dtype = _lee_sum_dtype(n, q)
-    # sum_{t < k1} wt_L(c_t) over coefficient_grid(orders), one outer sum per
-    # row, repeated over the later rows' coefficients (the fastest axes)
-    fixed = np.zeros(1, dtype=dtype)
-    for order in orders[:k1]:
-        c = np.arange(order)
-        fixed = np.add.outer(fixed, np.minimum(c, q - c).astype(dtype)).ravel()
-    fixed = np.repeat(fixed, width // len(fixed))
     space.check_budget()
     cap = max(1, SCAN_CHUNK_CELLS // (width * n))
 
@@ -398,7 +373,7 @@ def scan_space(space: SearchSpace):
     layouts, patterns = [], {}   # pattern -> options
     for placement in space.placements():
         base, slots = _placement_slots(space, placement)
-        columns = _placement_columns(base, slots, placement[0])
+        columns = _placement_columns(base, slots)
         for options, pattern, _ in columns:
             patterns[pattern] = options
         order = [i for *_, at in columns for i in at]   # the slots in column order
@@ -447,7 +422,7 @@ def scan_space(space: SearchSpace):
             if fill + count > cap:
                 yield _ChunkGenerators((K, n), runs), np.concatenate(parts, dtype=np.int64)
                 runs, parts, fill = [], [], 0
-            d = _outer_sums(fixed, column_tables)[:, 1:].min(axis=1)
+            d = _outer_sums(column_tables)[:, 1:].min(axis=1)
             if axes is not None:   # from column order back to slot order
                 d = d.reshape([sizes[i] for i in order]).transpose(axes).reshape(-1)
             parts.append(d)

@@ -72,6 +72,22 @@ def test_inspect_missing_file():
     assert run("inspect", "/nonexistent.code").exit_code == 1
 
 
+def _fails_cleanly(res):
+    assert res.exit_code == 1, res.output
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+
+
+def test_unreadable_and_unwritable_paths_exit_1(tmp_path):
+    _fails_cleanly(run("inspect", str(tmp_path)))   # a directory
+    _fails_cleanly(run("bounds", "--file", str(tmp_path)))
+    missing = str(tmp_path / "missing" / "x")
+    _fails_cleanly(run("construct", "equidistant", "--p", "3", "--s", "2", "--i", "1",
+                       "--rank", "1", "-o", missing))
+    _fails_cleanly(run("construct", "mld", "--p", "2", "--s", "3", "--n", "4", "-o", missing))
+    _fails_cleanly(run("table1", "--no-census", "--csv", missing))
+
+
 def test_construct_equidistant_round_trip():
     res = run("construct", "equidistant", "--p", "3", "--s", "2", "--i", "1",
               "--rank", "1")

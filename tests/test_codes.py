@@ -94,6 +94,23 @@ def test_parity_check_examples():
     assert full.dual().cardinality == 1
 
 
+def test_generator_and_parity_check_matrices():
+    # every code of Z/4, Z/8 and Z/9 with n <= 3, the zero code included
+    for m in (Z4, Z8, Z9):
+        for n in (1, 2, 3):
+            for subtype in [(0,) * m.s, *all_subtypes(m, n)]:
+                for c in enumerate_codes(SearchSpace(m, n, subtype)):
+                    G = np.array(c.generator_matrix().rows)
+                    H = c.parity_check()
+                    assert not (G @ np.array(H.rows).T % m.q).any(), c
+                    assert LinearCode.from_generator(m, G.tolist(), n=n) == c
+                    dual = LinearCode.from_generator(m, H.rows, n=n)
+                    assert c.cardinality * dual.cardinality == m.q ** n, c
+    zero = LinearCode.from_generator(Z9, [[0, 0, 0]])
+    assert zero.generator_matrix().rows == ((0, 0, 0),)
+    assert LinearCode.from_generator(Z9, zero.parity_check().rows).cardinality == 9 ** 3
+
+
 def exhaustive_small_codes():
     """A mixed bag of small codes over several rings, exhaustive over the
     generator entries for 1-2 rows."""

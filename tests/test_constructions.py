@@ -179,6 +179,17 @@ def test_scalar_stability():
     assert signed_perm_equivalent(bumped, padded)
 
 
+def test_rank1_at_the_socle_level_replicates_the_socle_code():
+    # at level i = s the rank-1 construction is p copies of the socle code
+    # <p^(s-1) * (1, ..., (p-1)/2)>, which is Lee-equidistant and p times shorter
+    for m in (Z9, Modulus(5, 2), Z27):
+        p, s = m.p, m.s
+        code = equidistant_rank1(EquidistantSpec(m, s, 1))
+        base = LinearCode.from_generator(m, [[p ** (s - 1) * a for a in range(1, (p + 1) // 2)]])
+        assert base.is_lee_equidistant() and base.n * p == code.n
+        assert signed_perm_equivalent(code, base.replicate(p)), m
+
+
 def test_catalog_mld():
     cat = catalog_mld(Z5, 2)
     assert len(cat) == 1 and cat[0] == LinearCode.from_generator(Z5, [[1, 2]])

@@ -203,12 +203,13 @@ _CAPPED_SPACES = [SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z8, 4, (1, 1, 1)), _SO
 
 
 def _column_patterns(space):
-    """The distinct patterns of the space's non-pivot columns, each as its
-    base column and the (row, scale, radix) of its slots, with its options."""
+    """The distinct patterns of the space's columns, each as its base column
+    and the (row, scale, radix) of its slots, with its options; a block-1
+    pivot column, the unit column e_t, is a pattern of one option."""
     patterns = {}
     for placement in space.placements():
         base, slots = _placement_slots(space, placement)
-        for b in set(range(space.n)) - set(placement[0]):
+        for b in range(space.n):
             own = tuple((row, scale, radix) for row, col, scale, radix in slots if col == b)
             patterns[tuple(base[:, b]), own] = math.prod(radix for *_, radix in own)
     return patterns
@@ -262,8 +263,8 @@ def test_multi_chunk_scans_match_one_chunk(monkeypatch, cells):
 def test_scan_splits_placements_past_the_chunk_cap(monkeypatch):
     sums, outer = [], search._outer_sums
 
-    def outer_sums(first, tables):
-        sums.append(outer(first, tables))
+    def outer_sums(tables):
+        sums.append(outer(tables))
         return sums[-1]
 
     decoded, decode = [], search._decode
@@ -332,19 +333,22 @@ def test_scan_chunks_decode_on_indexing(monkeypatch):
     assert any(a < end < b for a, b in zip([0] + offsets, offsets) for end in ends)
 
 
-def test_generator_chunks_fill_across_placements():
+def test_generator_chunks_stay_within_placements():
     for space in _MULTI_PLACEMENT_SPACES:
-        decoded = np.concatenate([G for _, G in _placement_blocks(space)])
+        blocks = [G for _, G in _placement_blocks(space)]
         for chunk in (1, 7, 4096):
             chunks = list(_generator_chunks(space, chunk))
-            assert all(len(G) == chunk for G in chunks[:-1]), (space, chunk)
-            assert 1 <= len(chunks[-1]) <= chunk, (space, chunk)
-            assert np.array_equal(np.concatenate(chunks), decoded), (space, chunk)
+            # each placement is cut into chunks of `chunk` codes but its last
+            assert len(chunks) == sum(-(-len(G) // chunk) for G in blocks), (space, chunk)
+            assert all(1 <= len(G) <= chunk for G in chunks), (space, chunk)
+            ends = set(itertools.accumulate(len(G) for G in chunks))
+            assert set(itertools.accumulate(len(G) for G in blocks)) <= ends, (space, chunk)
+            assert np.array_equal(np.concatenate(chunks), np.concatenate(blocks)), (space, chunk)
 
 
-def test_scan_drops_the_block1_pivot_unit_columns():
-    # the scan sums the block-1 pivot columns' weights once per space, as
-    # each is the unit column e_t of the base and carries no slot
+def test_block1_pivot_columns_are_slotless_unit_columns():
+    # in standard form the pivot column of block-1 row t is the unit column
+    # e_t in every code of the placement: it carries no free entry
     for space in _MULTI_PLACEMENT_SPACES:
         unit = np.eye(space.rank, dtype=np.int64)
         for placement, G in _placement_blocks(space):
