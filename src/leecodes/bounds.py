@@ -8,10 +8,15 @@ M*(R+1).  Where the literature floors a coefficient but plots the floor of
 the product, both readings are returned, labelled `stated` and `plotted`.
 
 `BOUNDS` names every bound once: its evaluator and its attainment rule.
-`evaluate_bounds`, `attainment_check` and the census all read it.  The
-values depend on the parameter tuple only, so `evaluate_bounds` and
+`evaluate_bounds`, `attainment_check` and the census all read it.  A code
+attains a bound when its distance d (d_H for the Hamming Singleton bounds,
+d_L otherwise) lies in a range [lo, hi]: for a floor-form bound
+floor((d-1)/M) <= R, whose floored value is M(R+1), lo = floored - M + 1 and
+hi = floored; for every other bound lo = hi = floored.  The values and these
+ranges depend on the parameter tuple only, so `evaluate_bounds` and
 `attainment_check` compute them once per `CodeParams` (an LRU cache of
-`BOUND_CACHE_SIZE` tuples) and hand out fresh `BoundCell`s on every call.
+`BOUND_CACHE_SIZE` tuples), compare d against the cached range and hand out
+fresh `BoundCell`s on every call.
 """
 
 from __future__ import annotations
@@ -262,8 +267,9 @@ class Bound:
 
     The evaluator returns None, or raises ValueError, where the bound does
     not apply.  A code attains the bound when its distance (d_H if
-    `hamming`, else d_L) equals the floored value; for a `floor_form` bound
-    floor((d-1)/M) <= R, when floor((d-1)/M) = R.
+    `hamming`, else d_L) lies in `attainment_range`: it equals the floored
+    value, or, for a `floor_form` bound floor((d-1)/M) <= R with floored
+    value M(R+1), floor((d-1)/M) = R, i.e. M(R+1) - M + 1 <= d <= M(R+1).
     """
 
     evaluate: Callable[[CodeParams], object]
@@ -282,13 +288,17 @@ class Bound:
         value = Fraction(value)
         return BoundCell(value, math.floor(value), True)
 
+    def attainment_range(self, params: CodeParams, floored: int) -> tuple[int, int]:
+        """The distances (lo, hi) at both ends of those that attain the bound
+        whose floored value at `params` is `floored`."""
+        lo = floored - params.modulus.M + 1 if self.floor_form else floored
+        return lo, floored
+
     def attained(self, params: CodeParams, target: int, d):
         """Whether the distance d (an int or a numpy array) attains the bound
         whose floored value at `params` is `target`."""
-        if self.floor_form:
-            M = params.modulus.M
-            return (d - 1) // M == target // M - 1   # target = M(R + 1)
-        return d == target
+        lo, hi = self.attainment_range(params, target)
+        return d == hi if lo == hi else (lo <= d) & (d <= hi)
 
 
 BOUNDS = {
@@ -311,11 +321,17 @@ BOUND_IDS = tuple(BOUNDS)
 
 @functools.lru_cache(maxsize=BOUND_CACHE_SIZE)
 def _cell_fields(params: CodeParams) -> Mapping[str, tuple]:
-    """The fields of every bound's cell at `params`, in BOUNDS order, as a
-    read-only mapping: every caller of the cache shares it."""
-    cells = ((name, bound.cell(params)) for name, bound in BOUNDS.items())
-    return MappingProxyType({name: (c.value, c.floored, c.applicable, c.attained, c.stated)
-                             for name, c in cells})
+    """Per bound id, in BOUNDS order, the row (value, floored, applicable,
+    stated, span) of its cell at `params`, where span is (hamming, lo, hi)
+    with the Bound.attainment_range [lo, hi], or None where the bound does
+    not apply; a read-only mapping, so every caller of the cache shares it."""
+    rows = {}
+    for name, bound in BOUNDS.items():
+        c = bound.cell(params)
+        span = ((bound.hamming, *bound.attainment_range(params, c.floored))
+                if c.applicable else None)
+        rows[name] = (c.value, c.floored, c.applicable, c.stated, span)
+    return MappingProxyType(rows)
 
 
 def attainment_check(code: LinearCode, bound_id: str) -> bool:
@@ -325,23 +341,27 @@ def attainment_check(code: LinearCode, bound_id: str) -> bool:
     if bound is None:
         raise ValueError(f"unknown bound id {bound_id!r}")
     d = code.min_hamming_distance() if bound.hamming else code.min_lee_distance()
-    params = CodeParams.from_code(code)
-    cell = BoundCell(*_cell_fields(params)[bound_id])
-    if not cell.applicable:
+    span = _cell_fields(CodeParams.from_code(code))[bound_id][-1]
+    if span is None:
         raise ValueError(f"bound {bound_id!r} is inapplicable to these parameters")
-    return bool(bound.attained(params, cell.floored, d))
+    _, lo, hi = span
+    return lo <= d <= hi
 
 
 def evaluate_bounds(params_or_code) -> dict[str, BoundCell]:
     """BoundCell per bound id; with a concrete code, attainment flags are filled."""
     code = params_or_code if isinstance(params_or_code, LinearCode) else None
     params = params_or_code if code is None else CodeParams.from_code(code)
-    cells = {name: BoundCell(*fields) for name, fields in _cell_fields(params).items()}
-    if code is not None:
-        d_lee, d_ham = code.min_lee_distance(), code.min_hamming_distance()
-        for name, cell in cells.items():
-            if cell.applicable:
-                bound = BOUNDS[name]
-                d = d_ham if bound.hamming else d_lee
-                cell.attained = bool(bound.attained(params, cell.floored, d))
+    rows = _cell_fields(params)
+    if code is None:
+        return {name: BoundCell(value, floored, applicable, None, stated)
+                for name, (value, floored, applicable, stated, _) in rows.items()}
+    d_lee, d_ham = code.min_lee_distance(), code.min_hamming_distance()
+    cells = {}
+    for name, (value, floored, applicable, stated, span) in rows.items():
+        attained = None
+        if span is not None:
+            hamming, lo, hi = span
+            attained = lo <= (d_ham if hamming else d_lee) <= hi
+        cells[name] = BoundCell(value, floored, applicable, attained, stated)
     return cells

@@ -10,6 +10,7 @@ block-triangular systematic shape with diagonal blocks p^(i-1)*Id_{k_i}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -145,6 +146,17 @@ def word_table(orders, gens, q: int) -> np.ndarray:
     return table
 
 
+def _lee_sum_dtype(n: int, q: int):
+    """The narrowest integer dtype that holds every sum of n Lee weights
+    over Z/q, each at most q // 2; Hamming weights, at most n, fit too."""
+    top = n * (q // 2)
+    if top < 2**15:
+        return np.int16
+    if top < 2**31:
+        return np.int32
+    return np.int64
+
+
 def word_profiles(m: Modulus, words: np.ndarray) -> np.ndarray:
     """(order valuation, Lee weight, Hamming weight) of each row of `words`,
     shape (N, 3); each is invariant under signed coordinate permutations.
@@ -183,15 +195,20 @@ class LinearCode:
                        budget: int = ENUMERATION_BUDGET) -> "LinearCode":
         """Build the row span of `rows`; redundant or zero rows are allowed."""
         q = modulus.q
-        given = tuple(tuple(int(e) % q for e in row) for row in rows)
+        given = tuple([tuple([int(e) % q for e in row]) for row in rows])
         if n is None:
             if not given:
                 raise ValueError("cannot infer length from an empty generator")
             n = len(given[0])
         if any(len(r) != n for r in given):
             raise ValueError("generator rows disagree with the code length")
+        return cls._from_residues(modulus, given, n, budget)
+
+    @classmethod
+    def _from_residues(cls, modulus: Modulus, given, n: int, budget: int) -> "LinearCode":
+        """The row span of `given`: rows of length n with entries in [0, q)."""
         reduced, pivots = _row_reduce(modulus, [list(r) for r in given])
-        return cls(modulus, n, tuple(tuple(r) for r in reduced), tuple(pivots), given, budget)
+        return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given, budget)
 
     @classmethod
     def from_matrix(cls, mat: CodeMatrix, budget: int = ENUMERATION_BUDGET) -> "LinearCode":
@@ -322,10 +339,14 @@ class LinearCode:
         codeword c.  Both weights are the same on c and -c, so their extremes
         over the nonzero words are those of the code; the reduced rows with
         their orders reach each codeword once, so word 0 is the only zero
-        word."""
+        word.  Both sums take _lee_sum_dtype(n, q), which holds n * (q // 2)
+        and so every Lee and Hamming weight of length n."""
         table = self._word_table(signed_half(self.row_orders))
         q = self.modulus.q
-        return np.minimum(table, q - table).sum(axis=0), (table != 0).sum(axis=0)
+        dtype = _lee_sum_dtype(self.n, q)
+        hamming = (table != 0).sum(axis=0, dtype=dtype)
+        np.minimum(table, q - table, out=table)
+        return table.sum(axis=0, dtype=dtype), hamming
 
     @cached_property
     def codeword_profiles(self) -> np.ndarray:
@@ -351,11 +372,17 @@ class LinearCode:
         lee, hamming = self._weights
         return lee[1:], hamming[1:]
 
+    @cached_property
+    def _min_weights(self) -> tuple[int, int]:
+        """(d_L, d_H); not cached while the checks of _nonzero_weights raise."""
+        lee, hamming = self._nonzero_weights()
+        return int(lee.min()), int(hamming.min())
+
     def min_lee_distance(self) -> int:
-        return int(self._nonzero_weights()[0].min())
+        return self._min_weights[0]
 
     def min_hamming_distance(self) -> int:
-        return int(self._nonzero_weights()[1].min())
+        return self._min_weights[1]
 
     # -- support and averages -----------------------------------------------
 
@@ -363,13 +390,16 @@ class LinearCode:
         """Counts (n_0, ..., n_s) of coordinates by their projection ideal.
 
         The ideal of coordinate j is generated by p^v with v the minimal
-        valuation of column j over the generator rows.
+        valuation of column j over the generator rows, read off as
+        gcd(column, q) = p^v; the zero code has no rows, so all n
+        coordinates are at level s.
         """
-        s = self.modulus.s
-        counts = [0] * (s + 1)
-        for j in range(self.n):
-            v = min((self.modulus.val(row[j]) for row in self.rows), default=s)
-            counts[v] += 1
+        m = self.modulus
+        counts = [0] * (m.s + 1)
+        if not self.rows:
+            counts[m.s] = self.n
+        for column in zip(*self.rows):
+            counts[m.val(math.gcd(*column, m.q))] += 1
         return tuple(counts)
 
     def average_lee_weight(self) -> Fraction:
@@ -402,35 +432,36 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The dual code, solved by back-substitution over the pivot structure."""
         m = self.modulus
-        q, p = m.q, m.p
-        pivot_cols = [c for c, _ in self.pivots]
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(self.n) if c not in pivot_set]
+        q, p, n = m.q, m.p, self.n
+        pivot_set = {c for c, _ in self.pivots}
+        # per pivot, deepest first: its column, the order q/p^v of its entry
+        # and the nonzero (j, row[j]/p^v) off its column
+        steps = []
+        for (c, v), row in zip(reversed(self.pivots), reversed(self.rows)):
+            pv = p**v
+            steps.append((c, q // pv, [(j, e // pv) for j, e in enumerate(row) if e and j != c]))
 
-        def solve(x: list[int], bump: int | None = None) -> list[int]:
-            # fill pivot coordinates from the deepest pivot upwards; x is zero
-            # at every pivot column not yet filled
-            for t in range(len(self.pivots) - 1, -1, -1):
-                c, v = self.pivots[t]
-                row = self.rows[t]
-                pv = p**v
-                acc = sum(row[j] // pv * xj for j, xj in enumerate(x) if xj)
-                x[c] = (-acc) % (q // pv)
-                if bump == t:
-                    x[c] = (x[c] + q // pv) % q
+        def solve(x: list[int], start: int = 0) -> list[int]:
+            # fill pivot coordinates from steps[start] upwards; x is zero at
+            # every pivot column not yet filled
+            for c, order, terms in steps[start:]:
+                x[c] = -sum([f * x[j] for j, f in terms]) % order
             return x
 
         gens: list[list[int]] = []
-        for c in free_cols:
-            x = [0] * self.n
-            x[c] = 1
-            gens.append(solve(x))
-        for t, (_, v) in enumerate(self.pivots):
-            if v >= 1:
-                gens.append(solve([0] * self.n, bump=t))
+        for c in range(n):
+            if c not in pivot_set:
+                x = [0] * n
+                x[c] = 1
+                gens.append(solve(x))
+        for t, (c, order, _) in enumerate(reversed(steps)):
+            if order < q:  # pivot t has valuation v >= 1: x_c = q/p^v, deeper pivots 0
+                x = [0] * n
+                x[c] = order
+                gens.append(solve(x, len(steps) - t))
         if not gens:
-            gens = [[0] * self.n]
-        return LinearCode.from_generator(m, gens, n=self.n, budget=self.budget)
+            gens = [[0] * n]
+        return LinearCode._from_residues(m, tuple(map(tuple, gens)), n, self.budget)
 
     # -- equidistance and replication ----------------------------------------
 

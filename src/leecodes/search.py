@@ -42,8 +42,8 @@ from operator import itemgetter
 import numpy as np
 
 from .bounds import BOUNDS, CodeParams, type_form
-from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, signed_half, word_profiles,
-                    word_table)
+from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, _lee_sum_dtype, signed_half,
+                    word_profiles, word_table)
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
@@ -210,17 +210,6 @@ def _space_orders(space: SearchSpace) -> list[int]:
         raise BudgetError(f"codes of {space} have {card} codewords, over the "
                           f"enumeration budget of {ENUMERATION_BUDGET}")
     return orders
-
-
-def _lee_sum_dtype(n: int, q: int):
-    """The narrowest integer dtype that holds every sum of n Lee weights
-    over Z/q, each at most q // 2."""
-    top = n * (q // 2)
-    if top < 2**15:
-        return np.int16
-    if top < 2**31:
-        return np.int32
-    return np.int64
 
 
 def _placement_columns(base: np.ndarray, slots):

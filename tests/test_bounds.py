@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from leecodes import bounds
@@ -15,7 +16,7 @@ from leecodes.bounds import (BOUND_CACHE_SIZE, BOUNDS, Bound, CodeParams,
 from leecodes.codes import LinearCode
 from leecodes.constructions import EquidistantSpec, equidistant_rank1
 from leecodes.ring import Modulus
-from leecodes.search import SearchSpace, enumerate_codes
+from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
 
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
@@ -237,6 +238,50 @@ def test_attainment_check_examples():
         attainment_check(c, "rank_plotkin_exact")
     with pytest.raises(ValueError, match="inapplicable"):
         attainment_check(LinearCode.from_generator(Z5, [[1, 2]]), "z4_singleton")
+
+
+def test_attainment_matches_the_scalar_rule_on_every_small_code():
+    # floor((d-1)/M) = R for the floor-form bounds, whose floored value is
+    # M(R+1); d equal to the floored value for the others
+    def rule(bound, params, floored, d):
+        if bound.floor_form:
+            M = params.modulus.M
+            return (d - 1) // M == floored // M - 1
+        return d == floored
+
+    checked = attainers = 0
+    for m in (Z4, Modulus(2, 3), Z9):
+        for n in (1, 2, 3):
+            for subtype in all_subtypes(m, n):
+                for code in enumerate_codes(SearchSpace(m, n, subtype)):
+                    if code.cardinality < 2:
+                        continue
+                    params = CodeParams.from_code(code)
+                    d = {True: code.min_hamming_distance(), False: code.min_lee_distance()}
+                    cells = evaluate_bounds(code)
+                    assert list(cells) == list(BOUNDS)
+                    for name, bound in BOUNDS.items():
+                        direct = bound.cell(params)
+                        if not direct.applicable:
+                            assert cells[name].attained is None
+                            with pytest.raises(ValueError, match="inapplicable"):
+                                attainment_check(code, name)
+                            continue
+                        expected = rule(bound, params, direct.floored, d[bound.hamming])
+                        assert cells[name].attained is expected, (code, name)
+                        assert attainment_check(code, name) is expected, (code, name)
+                        assert bool(bound.attained(params, direct.floored,
+                                                   d[bound.hamming])) is expected
+                        checked += 1
+                        attainers += expected
+    assert checked > 10_000 and attainers > 1_000
+    # on arrays, as the census reads it
+    d = np.arange(1, 20)
+    for name in ("shiromoto", "lee_mdr", "wyner_graham", "singleton_hamming"):
+        bound, params = BOUNDS[name], P(Z9, 3, 1, 1, 1)
+        floored = bound.cell(params).floored
+        assert bound.attained(params, floored, d).tolist() == [
+            rule(bound, params, floored, int(x)) for x in d]
 
 
 def test_evaluate_bounds_report():

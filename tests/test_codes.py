@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leecodes import codes
-from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, coefficient_grid,
-                            format_code_text, parse_code_text, signed_half, word_table)
+from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, _lee_sum_dtype,
+                            coefficient_grid, format_code_text, parse_code_text, signed_half,
+                            word_table)
+from leecodes.report import inspect_code
 from leecodes.ring import Modulus, lee_weight_vec, RingVector
 from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
 
@@ -17,6 +19,7 @@ Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
 Z8 = Modulus(2, 3)
 Z9 = Modulus(3, 2)
+Z25 = Modulus(5, 2)
 Z27 = Modulus(3, 3)
 
 
@@ -127,6 +130,15 @@ def exhaustive_small_codes():
     return out
 
 
+def every_small_code():
+    """Every code of Z/4, Z/8, Z/9 and Z/5 with n <= 3 and of Z/27 and Z/25
+    with n <= 2, each once, the zero codes too."""
+    for m, n_max in [(Z4, 3), (Z8, 3), (Z9, 3), (Z5, 3), (Z27, 2), (Z25, 2)]:
+        for n in range(1, n_max + 1):
+            for subtype in all_subtypes(m, n):
+                yield from enumerate_codes(SearchSpace(m, n, subtype))
+
+
 def test_duality_properties():
     for c in exhaustive_small_codes():
         m = c.modulus
@@ -230,6 +242,32 @@ def test_distances_match_brute_force_over_large_rings():
                 assert c.min_hamming_distance() == min(sum(e != 0 for e in w) for w in words)
 
 
+def test_lee_sum_dtype_holds_n_times_the_largest_lee_weight():
+    assert _lee_sum_dtype(2**15 - 1, 2) is np.int16
+    assert _lee_sum_dtype(2**15, 2) is np.int32
+    assert _lee_sum_dtype(1, 2**16) is np.int32
+    assert _lee_sum_dtype(2**31 - 1, 2) is np.int32
+    assert _lee_sum_dtype(2, 2**31) is np.int64
+
+
+def test_weight_sums_are_exact_past_int16_and_int32():
+    for c in every_small_code():
+        if c.cardinality > 1:
+            assert all(w.dtype == _lee_sum_dtype(c.n, c.modulus.q) for w in c._weights), c
+    past_int16 = LinearCode.from_generator(Modulus(3, 9), [[1, 1, 1, 1]])   # sums to 39364
+    past_int32 = LinearCode.from_generator(Modulus(2, 31), [[2**30, 2**30]])  # d_L = 2^31
+    for c, dtype in [(past_int16, np.int32), (past_int32, np.int64)]:
+        q = c.modulus.q
+        assert [w.dtype for w in c._weights] == [dtype, dtype]
+        words = c.codeword_array()[1:]
+        lee = np.minimum(words, q - words).sum(axis=1)
+        assert c.min_lee_distance() == lee.min()
+        assert c.min_hamming_distance() == (words != 0).sum(axis=1).min()
+        assert c.is_lee_equidistant() == (lee.min() == lee.max())
+    assert (past_int16.min_lee_distance(), past_int16.is_lee_equidistant()) == (4, False)
+    assert (past_int32.min_lee_distance(), past_int32.is_lee_equidistant()) == (2**31, True)
+
+
 def test_distances_check_the_budget_and_reuse_the_weights(monkeypatch):
     built = []
 
@@ -273,6 +311,24 @@ def test_support_subtype_examples():
     assert LinearCode.from_generator(Z9, [[3, 6]]).support_subtype() == (0, 2, 0)
     assert LinearCode.from_generator(Z9, [[1, 3]]).support_subtype() == (1, 1, 0)
     assert LinearCode.zero(Z9, 3).support_subtype() == (0, 0, 3)
+
+
+def test_support_subtype_matches_the_entry_valuations():
+    # the definition: level of column j = least valuation of its entries over
+    # the reduced rows, s for a column of zeros
+    codes_ = list(every_small_code())
+    codes_ += [LinearCode.zero(Z9, 3), LinearCode.from_generator(Z9, [[3, 0, 1], [0, 0, 6]]),
+               LinearCode.from_generator(Z8, [[0, 4], [0, 2]])]
+    assert len(codes_) > 1600
+    for c in codes_:
+        m = c.modulus
+        counts = [0] * (m.s + 1)
+        for j in range(c.n):
+            counts[min((m.val(row[j]) for row in c.rows), default=m.s)] += 1
+        assert c.support_subtype() == tuple(counts), c
+    assert codes_[-3].support_subtype() == (0, 0, 3)
+    assert codes_[-2].support_subtype() == (1, 1, 1)   # column 1 is all zero
+    assert codes_[-1].support_subtype() == (0, 1, 0, 1)   # column 0 is all zero
 
 
 def test_support_subtype_matches_column_projections():
@@ -350,6 +406,48 @@ def test_membership():
         assert c.contains(w)
     assert not c.contains([0, 1, 0])
     assert c.socle().is_subcode_of(c)
+
+
+def back_substitution_dual(code):
+    """The dual solved row by row: each row of the parity check fills the
+    pivot coordinates from the deepest pivot upwards out of the reduced rows,
+    and the rows go through from_generator.  An oracle for LinearCode.dual."""
+    m = code.modulus
+    q, p = m.q, m.p
+    pivot_cols = {c for c, _ in code.pivots}
+
+    def solve(x, bump=None):
+        for t in range(len(code.pivots) - 1, -1, -1):
+            c, v = code.pivots[t]
+            pv = p**v
+            acc = sum(code.rows[t][j] // pv * xj for j, xj in enumerate(x) if xj)
+            x[c] = (-acc) % (q // pv)
+            if bump == t:
+                x[c] = (x[c] + q // pv) % q
+        return x
+
+    gens = [solve([int(j == c) for j in range(code.n)])
+            for c in range(code.n) if c not in pivot_cols]
+    gens += [solve([0] * code.n, bump=t) for t, (_, v) in enumerate(code.pivots) if v >= 1]
+    return LinearCode.from_generator(m, gens or [[0] * code.n], n=code.n, budget=code.budget)
+
+
+def test_dual_matches_back_substitution():
+    codes_ = list(every_small_code())
+    for m, n in [(Z4, 3), (Z9, 2), (Z27, 2)]:
+        codes_ += [LinearCode.zero(m, n),
+                   LinearCode.from_generator(m, [[int(i == j) for j in range(n)] for i in range(n)])]
+    assert len(codes_) > 1600
+    for c in codes_:
+        dual, oracle = c.dual(), back_substitution_dual(c)
+        assert (dual.rows, dual.pivots, dual.given_rows) == (
+            oracle.rows, oracle.pivots, oracle.given_rows), c
+    # the dual generators that `leecodes inspect` prints for criterion 8's examples
+    for m, rows, expected in [(Z5, [[1, 0, 3, 4], [0, 1, 2, 3]], [[1, 4, 3, 0], [0, 1, 4, 2]]),
+                              (Z4, [[0, 1, 1], [2, 0, 0], [0, 0, 2]], [[2, 0, 0], [0, 2, 2]])]:
+        c = LinearCode.from_generator(m, rows)
+        assert inspect_code(c)["dual_generators"] == expected
+        assert [list(r) for r in back_substitution_dual(c).rows] == expected
 
 
 def test_dual_matches_brute_force_orthogonal_complement():
