@@ -13,10 +13,12 @@ attains a bound when its distance d (d_H for the Hamming Singleton bounds,
 d_L otherwise) lies in a range [lo, hi]: for a floor-form bound
 floor((d-1)/M) <= R, whose floored value is M(R+1), lo = floored - M + 1 and
 hi = floored; for every other bound lo = hi = floored.  The values and these
-ranges depend on the parameter tuple only, so `evaluate_bounds` and
-`attainment_check` compute them once per `CodeParams` (an LRU cache of
-`BOUND_CACHE_SIZE` tuples), compare d against the cached range and hand out
-fresh `BoundCell`s on every call.
+ranges depend on the parameter tuple only, so they are computed once per
+tuple (an LRU cache of `BOUND_CACHE_SIZE` tuples).  The census and the
+per-code calls `evaluate_bounds(code)` and `attainment_check` key it by
+(modulus, n, subtype), `evaluate_bounds(params)` by the `CodeParams`; the
+per-code calls compare d against the cached range and hand out fresh
+`BoundCell`s on every call.
 """
 
 from __future__ import annotations
@@ -297,8 +299,12 @@ class Bound:
     def attained(self, params: CodeParams, target: int, d):
         """Whether the distance d (an int or a numpy array) attains the bound
         whose floored value at `params` is `target`."""
-        lo, hi = self.attainment_range(params, target)
-        return d == hi if lo == hi else (lo <= d) & (d <= hi)
+        return _in_range(*self.attainment_range(params, target), d)
+
+
+def _in_range(lo: int, hi: int, d):
+    """Whether the distance d (an int or a numpy array) lies in [lo, hi]."""
+    return d == hi if lo == hi else (lo <= d) & (d <= hi)
 
 
 BOUNDS = {
@@ -320,11 +326,17 @@ BOUND_IDS = tuple(BOUNDS)
 
 
 @functools.lru_cache(maxsize=BOUND_CACHE_SIZE)
-def _cell_fields(params: CodeParams) -> Mapping[str, tuple]:
+def _cell_fields(key) -> Mapping[str, tuple]:
     """Per bound id, in BOUNDS order, the row (value, floored, applicable,
-    stated, span) of its cell at `params`, where span is (hamming, lo, hi)
-    with the Bound.attainment_range [lo, hi], or None where the bound does
-    not apply; a read-only mapping, so every caller of the cache shares it."""
+    stated, span) of its cell, where span is (hamming, lo, hi) with the
+    Bound.attainment_range [lo, hi], or None where the bound does not apply;
+    a read-only mapping, so every caller of the cache shares it.
+
+    `key` is a CodeParams, or the (modulus, n, subtype) of a code or search
+    space, read as CodeParams.from_subtype: the census and the per-code
+    calls key by subtype, which hashes faster than a CodeParams and needs
+    none built on a hit."""
+    params = key if isinstance(key, CodeParams) else CodeParams.from_subtype(*key)
     rows = {}
     for name, bound in BOUNDS.items():
         c = bound.cell(params)
@@ -341,7 +353,7 @@ def attainment_check(code: LinearCode, bound_id: str) -> bool:
     if bound is None:
         raise ValueError(f"unknown bound id {bound_id!r}")
     d = code.min_hamming_distance() if bound.hamming else code.min_lee_distance()
-    span = _cell_fields(CodeParams.from_code(code))[bound_id][-1]
+    span = _cell_fields((code.modulus, code.n, code.subtype))[bound_id][-1]
     if span is None:
         raise ValueError(f"bound {bound_id!r} is inapplicable to these parameters")
     _, lo, hi = span
@@ -351,8 +363,8 @@ def attainment_check(code: LinearCode, bound_id: str) -> bool:
 def evaluate_bounds(params_or_code) -> dict[str, BoundCell]:
     """BoundCell per bound id; with a concrete code, attainment flags are filled."""
     code = params_or_code if isinstance(params_or_code, LinearCode) else None
-    params = params_or_code if code is None else CodeParams.from_code(code)
-    rows = _cell_fields(params)
+    rows = _cell_fields(params_or_code if code is None
+                        else (code.modulus, code.n, code.subtype))
     if code is None:
         return {name: BoundCell(value, floored, applicable, None, stated)
                 for name, (value, floored, applicable, stated, _) in rows.items()}

@@ -21,12 +21,13 @@ placement past the cap is cut into runs of consecutive codes.  A chunk's
 generators are decoded only for the codes a caller keeps.
 
 Optima and attainers are merged straight from the kept generators: each
-code is keyed by its sorted codeword encodings, and the images of all
-codes under each generator of the signed-permutation group are looked up
-among those keys.  Every predicate kept reads d_L only, so the kept set of a
-whole space is closed under the group and its orbit components are its
-classes.  Only past q^n = 2^63, where the int64 keys would wrap, are the
-codes compared pairwise by dedup_codes instead.
+code is keyed by its standard form, which one batched exact row reduction
+gives for the codes and for their images under three generators of the
+signed-permutation group, and every image is looked up among the codes'
+keys.  A key is K n entries, exact for every modulus.  Every predicate kept
+reads d_L only, so the kept set of a whole space is closed under the group
+and its orbit components are its classes.  dedup_codes, the pairwise path,
+serves lists that need not be closed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import BOUNDS, CodeParams, type_form
+from .bounds import BOUNDS, CodeParams, _cell_fields, _in_range, type_form
 from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, _lee_sum_dtype, signed_half,
                     word_profiles, word_table)
 from .ring import Modulus
@@ -445,18 +446,17 @@ class CensusResult:
         return json.dumps(doc, indent=2)
 
 
-def _attainment_test(params: CodeParams, bound_id: str):
-    """The attainment predicate of one bound on an array of distances, with
-    the bound's value taken once; None where the bound does not apply."""
-    bound = BOUNDS[bound_id]
-    cell = bound.cell(params)
-    return functools.partial(bound.attained, params, cell.floored) if cell.applicable else None
+def _attainment_test(space: SearchSpace, bound_id: str):
+    """The attainment predicate of one bound on an array of distances, read
+    from the bound cells cached per (modulus, n, subtype); None where the
+    bound does not apply."""
+    span = _cell_fields((space.modulus, space.n, space.subtype))[bound_id][-1]
+    return None if span is None else functools.partial(_in_range, *span[1:])
 
 
 def _attainment_tests(space: SearchSpace):
     """The attainment predicate on an array of d_L per applicable Lee bound."""
-    params = space.params
-    tests = {name: _attainment_test(params, name)
+    tests = {name: _attainment_test(space, name)
              for name, bound in BOUNDS.items() if not bound.hamming}
     return {name: test for name, test in tests.items() if test is not None}
 
@@ -564,9 +564,9 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
     the first-seen member of each class, in input order.
 
     Each code is compared only with the representatives that share its
-    invariant key; all others are inequivalent to it.  The scans' optima
-    and attainers reach this only past q^n = 2^63, where _dedup_generators
-    cannot key them exactly."""
+    invariant key; all others are inequivalent to it.  This is the pairwise
+    path, for lists that need not be closed under the group; the scans'
+    optima and attainers are closed, and go through _dedup_generators."""
     if len(codes) < 2:
         return list(codes)  # nothing to compare, so no key to compute
     unique: list[LinearCode] = []
@@ -579,40 +579,82 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
     return unique
 
 
+def _standard_forms(space: SearchSpace, G: np.ndarray) -> np.ndarray:
+    """The standard generator of the code generated by each G[i] of G (N, K,
+    n), the one the scan emits for it: shape (N, K, n), int64.
+
+    Row t pivots at the valuation v_t the subtype fixes (k_1 rows at 0, then
+    k_2 rows at 1, ...).  Step t takes the leftmost column that holds an
+    entry of valuation exactly v_t in rows t.., and the first such row.  It
+    moves that row to t, scales it so that the pivot is p^v_t, and subtracts
+    f = e // p^v_t times it from every other row, e being that row's entry
+    at the column: the rows after t are multiples of p^v_t, so they clear
+    there, and the rows before t are left reduced modulo p^v_t.  Entries stay
+    below q <= 2^31, so every product is below 2^62.  A code whose subtype
+    is not the space's raises ValueError."""
+    p, q, K, n = space.modulus.p, space.modulus.q, space.rank, space.n
+    G = np.asarray(G, dtype=np.int64)
+    if G.ndim != 3 or G.shape[1:] != (K, n):
+        raise ValueError(f"generators of {space} have shape (N, {K}, {n}), not {G.shape}")
+    G = G % q
+    at = np.arange(len(G))
+    valuations = [v for v, k in enumerate(space.subtype) for _ in range(k)]
+    for t, v in enumerate(valuations):
+        pivot = p ** v
+        rest = G[:, t:]
+        # entries of valuation exactly v, column by column: the first is the
+        # leftmost column's first row
+        exact = (rest % (pivot * p) != 0).transpose(0, 2, 1).reshape(len(G), -1)
+        first = exact.argmax(axis=1)
+        if (pivot > 1 and (rest % pivot).any()) or not exact[at, first].all():
+            raise ValueError(f"a code has no row of valuation {v} left at row {t}, "
+                             f"so its subtype is not {space.subtype}")
+        col, row = np.divmod(first, len(valuations) - t)
+        row += t
+        top = G[at, row]
+        G[at, row] = G[:, t]
+        unit = top[at, col] // pivot
+        scale = unit != 1
+        if scale.any():
+            units, index = np.unique(unit[scale], return_inverse=True)
+            inverse = np.array([pow(int(u), -1, q) for u in units], dtype=np.int64)
+            top[scale] = top[scale] * inverse[index.reshape(-1)][:, None] % q
+        G[:, t] = top
+        f = G[at, :, col] // pivot
+        f[:, t] = 0
+        G -= f[:, :, None] * top[:, None, :]
+        G %= q
+    return G
+
+
 def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     """For each of the distinct codes generated by G (B, K, n), the least
     index of a code it is joined to by a chain of group generators.
 
-    A code's key is the sorted array of its codeword encodings sum_j w_j q^j,
-    exact in int64 while q^n < 2^63.  The group generators are the n - 1
-    adjacent transpositions and the sign flip of coordinate 0; the image of
-    every code under one of them is keyed at once and looked up among the
-    input keys.  The input must be closed under the group, so that each
-    component is one class; a missing image raises ValueError."""
+    A code's key is the byte view of its standard form, K n entries.  The
+    group generators are the transposition of coordinates 0 and 1, the cycle
+    of all n coordinates and the sign flip of coordinate 0; the input codes
+    and their images under all three are reduced in one batch, and every
+    image is looked up among the sorted input keys.  The input must be closed
+    under the group, so that each component is one class; a missing image
+    raises ValueError."""
     q, n, B = space.modulus.q, space.n, len(G)
-    orders = _space_orders(space)
-    # codeword column j of every code, (B, |C|), one column at a time
-    cols = [word_table(orders, G[:, :, j].T, q) for j in range(n)]
-    enc = np.zeros((B, math.prod(orders)), dtype=np.int64)
-    for j, col in enumerate(cols):
-        enc += col * np.int64(q ** j)
-    row = np.dtype((np.void, enc.shape[1] * enc.itemsize))
-    keys = np.sort(enc, axis=1).view(row).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    swap, cycle = [1, 0, *range(2, n)], [*range(1, n), 0]
+    # n = 1 needs no permutation, and at n = 2 the cycle is the swap
+    images = [G] + [G[:, :, perm] for perm in (swap, cycle)[:min(n - 1, 2)]]
+    flip = G.copy()
+    flip[:, :, 0] = (q - flip[:, :, 0]) % q
+    images.append(flip)
+    forms = _standard_forms(space, np.concatenate(images))
+    forms = forms.astype(np.min_scalar_type(q - 1)).reshape(len(forms), -1)
+    keys = forms.view(np.dtype((np.void, forms.shape[1] * forms.itemsize))).ravel()
+    order = np.argsort(keys[:B], kind="stable")
+    own = keys[:B][order]
     heads, tails = [], []
-    for j in range(n):
-        if j + 1 < n:   # swap coordinates j and j + 1
-            image = cols[j + 1].astype(np.int64)
-            image -= cols[j]
-            image *= q ** j - q ** (j + 1)
-        else:           # negate coordinate 0
-            image = (q - cols[0].astype(np.int64)) % q - cols[0]
-        image += enc
-        image.sort(axis=1)
-        image = image.view(row).ravel()
-        pos = np.minimum(np.searchsorted(keys, image), B - 1)
-        hit = np.flatnonzero(keys[pos] == image)
+    for start in range(B, len(keys), B):
+        image = keys[start:start + B]
+        pos = np.minimum(np.searchsorted(own, image), B - 1)
+        hit = np.flatnonzero(own[pos] == image)
         if len(hit) != B:
             raise ValueError(f"{B - len(hit)} codes of {space} have an image "
                              "outside the input, which is not closed under the group")
@@ -639,11 +681,8 @@ def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
     The input must be closed under the group, as the optimal or attaining
     codes of a whole space are: its classes are then the components of
     _orbit_labels, and a LinearCode is built for each component's least
-    index only.  Past q^n = 2^63 the keys would wrap, so the codes go
-    through dedup_codes instead."""
+    index only.  The standard-form keys are exact for every modulus."""
     m, n, B = space.modulus, space.n, len(G)
-    if m.q ** n > 2**63 - 1:
-        return dedup_codes([LinearCode.from_generator(m, g.tolist(), n=n) for g in G])
     roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B)) if B > 1 else range(B)
     return [LinearCode.from_generator(m, G[i].tolist(), n=n) for i in roots]
 
@@ -693,7 +732,7 @@ def _sweep(rings, n_max: int, budget: int, targets):
 def _bound_target(bound_id: str):
     """Sweep targets: the attainers of one bound, where it applies."""
     def targets(space):
-        test = _attainment_test(space.params, bound_id)
+        test = _attainment_test(space, bound_id)
         return None if test is None else {bound_id: test}
     return targets
 
@@ -736,7 +775,7 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
         strict_min = math.floor(type_form(params)) + 1
         tests = {"strict": lambda d: d >= strict_min}
         if params.ceil_k < params.n:
-            tests["ceiling"] = _attainment_test(params, "shiromoto")
+            tests["ceiling"] = _attainment_test(space, "shiromoto")
         return tests
 
     def allowed(c: LinearCode) -> bool:

@@ -172,18 +172,20 @@ def test_python_m_runs_from_a_checkout():
     assert json.loads(proc.stdout)["max_lee_distance"] == 3
 
 
-def test_census_equivalence_budget_exits_2(monkeypatch):
-    # an equivalence check past its search cap is a budget refusal as well;
-    # over Z/2^16 at n = 4, q^n = 2^64 is past the int64 keys, so the 49
-    # classes of optima of this scaled copy of Z/8 n=4 (1,1,1) are compared
-    # pairwise
-    from leecodes import search
-    monkeypatch.setattr(search, "EQUIVALENCE_CAP", 1)
-    res = run("census", "--p", "2", "--s", "16", "--n", "4",
+def test_census_past_q_to_the_n_2_63_scales_the_z8_census():
+    # over Z/2^16 at n = 4, q^n = 2^64; x -> 2^13 x embeds Z/8 in Z/2^16 and
+    # multiplies every Lee weight by 2^13, so the optima of subtype
+    # (0^13, 1, 1, 1) are those of Z/8 n=4 (1,1,1) scaled, all 49 classes
+    big = run("census", "--p", "2", "--s", "16", "--n", "4",
               "--subtype", "0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1")
-    assert res.exit_code == 2
-    assert isinstance(res.exception, SystemExit)   # no traceback
-    assert "error: equivalence search space too large" in res.stderr
+    small = run("census", "--p", "2", "--s", "3", "--n", "4", "--subtype", "1,1,1")
+    assert big.exit_code == small.exit_code == 0, big.output + small.output
+    big, small = json.loads(big.output), json.loads(small.output)
+    assert big["max_lee_distance"] == 2**13 * small["max_lee_distance"]
+    assert big["codes_examined"] == small["codes_examined"]
+    assert len(big["optimal_generators"]) == 49
+    assert big["optimal_generators"] == [[[2**13 * x for x in row] for row in code]
+                                         for code in small["optimal_generators"]]
 
 
 def test_table1_command(tmp_path):

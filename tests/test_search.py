@@ -487,18 +487,24 @@ def test_dedup_joins_codes_the_orbit_walk_cannot_reach():
 
 
 def test_dedup_past_exact_int64_keys():
-    # over Z/4 at n = 33, q^n = 2^66: coordinate 32 would weigh 4^32 = 2^64,
-    # which vanishes in int64, so <e_0> and <e_0 + e_32> would share a key;
-    # such inputs skip the orbit walk and are compared pairwise
+    # over Z/4 at n = 33, q^n = 2^66, past any int64 encoding of a codeword:
+    # coordinate 32 would weigh 4^32 = 2^64, so <e_0> and <e_0 + e_32> would
+    # share such a key.  The standard-form keys hold every modulus.  The
+    # input, every <e_i + e_j> and <e_i - e_j> (i < j) then every <e_i>, is
+    # closed under the group and holds two classes.
     n = 33
-    gens = np.zeros((4, 1, n), dtype=np.int64)
-    gens[0, 0, :2] = (1, 2)
-    gens[1, 0, :2] = (2, 1)        # a swap of the first
-    gens[2, 0, 0] = 1
-    gens[3, 0, [0, n - 1]] = 1
-    kept = _dedup_generators(SearchSpace(Z4, n, (1, 0)), gens)
-    assert [k.given_rows for k in kept] == [tuple(map(tuple, gens[i].tolist()))
-                                           for i in (0, 2, 3)]
+    pairs = [(i, j, sign) for i, j in itertools.combinations(range(n), 2) for sign in (1, 3)]
+    gens = np.zeros((len(pairs) + n, 1, n), dtype=np.int64)
+    for g, (i, j, sign) in zip(gens, pairs):
+        g[0, [i, j]] = 1, sign
+    gens[len(pairs):, 0] = np.eye(n, dtype=np.int64)
+    space = SearchSpace(Z4, n, (1, 0))
+    assert np.array_equal(search._standard_forms(space, gens), gens)
+    labels = search._orbit_labels(space, gens)
+    assert Counter(labels.tolist()) == {0: len(pairs), len(pairs): n} and len(pairs) == 1056
+    kept = _dedup_generators(space, gens)
+    assert [k.given_rows for k in kept] == [((1, 1) + (0,) * (n - 2),),
+                                           ((1,) + (0,) * (n - 1),)]
 
 
 def _orbit_key(code):
@@ -531,6 +537,87 @@ def test_dedup_codes_keeps_one_code_per_orbit():
                 assert [c.rows for c in _dedup_generators(space, G)] \
                     == [c.rows for c in unique], (m, n, subtype)
     assert total == 1648
+
+
+# -- standard forms ----------------------------------------------------------------
+
+_FORM_SPACES = [SearchSpace(m, n, subtype) for m in (Z4, Z5, Z7, Z8, Z9)
+                for n in range(1, 5) for subtype in all_subtypes(m, n)]
+_FORM_SPACES += [_SOCLE_2_31, SearchSpace(Modulus(2, 16), 4, (0,) * 13 + (1, 1, 1))]
+
+
+def _scan_generators(space):
+    return np.concatenate([G[:] for G, _ in scan_space(space)])
+
+
+def _row_mixes(rng, q, K, count):
+    """`count` random invertible K x K matrices over Z/q: a permutation times
+    a unit diagonal times unitriangular lower and upper factors."""
+    U = np.empty((count, K, K), dtype=np.int64)
+    units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+    for A in U:
+        lower = np.tril(rng.integers(0, q, (K, K)), -1) + np.eye(K, dtype=np.int64)
+        upper = np.triu(rng.integers(0, q, (K, K)), 1) + np.eye(K, dtype=np.int64)
+        diag = np.diag(rng.choice(units, K))
+        A[:] = (diag @ lower % q @ upper % q)[rng.permutation(K)]
+    return U
+
+
+def test_standard_forms_fix_every_scan_generator():
+    total = 0
+    for space in _FORM_SPACES:
+        G = _scan_generators(space)
+        assert np.array_equal(search._standard_forms(space, G), G), space
+        total += len(G)
+    assert total == sum(space.candidate_count() for space in _FORM_SPACES) == 80_825
+
+
+def test_standard_forms_are_canonical_under_row_mixes():
+    rng = np.random.default_rng(5)
+    spaces = [s for s in _FORM_SPACES if s.rank > 1 and s.modulus.q < 2**16]
+    spaces += [SearchSpace(Modulus(2, 16), 4, (0,) * 13 + (1, 1, 1))]
+    moved = total = 0
+    for space in spaces:
+        q = space.modulus.q
+        G = _scan_generators(space)[:300]
+        U = _row_mixes(rng, q, space.rank, len(G))
+        mixed = np.einsum("bij,bjn->bin", U, G) % q
+        assert np.array_equal(search._standard_forms(space, mixed), G), space
+        moved += int((mixed != G).any(axis=(1, 2)).sum())
+        total += len(G)
+    assert moved > 0.9 * total
+
+
+def test_standard_forms_agree_with_codeword_sets():
+    # inputs: every code of the space under three random row mixes, so each
+    # code comes as several generators; two share a form iff they span the
+    # same codewords
+    rng = np.random.default_rng(9)
+    for space in [SearchSpace(Z8, 3, (1, 1, 0)), SearchSpace(Z9, 3, (1, 1)),
+                  SearchSpace(Z4, 4, (1, 1)), SearchSpace(Z7, 3, (2,))]:
+        q = space.modulus.q
+        G = np.concatenate([_scan_generators(space)] * 3)
+        G = np.einsum("bij,bjn->bin", _row_mixes(rng, q, space.rank, len(G)), G) % q
+        forms = [g.tobytes() for g in search._standard_forms(space, G)]
+        spans = [k.tobytes() for k in _span_keys(q, G)]
+        assert len(set(forms)) == len(set(spans)) == len(set(zip(forms, spans))) \
+            == len(G) // 3, space
+
+
+def test_standard_forms_refuse_another_subtype():
+    space = SearchSpace(Z9, 3, (1, 1))
+    for G in ([[1, 2, 3], [2, 4, 6]],     # rank 1: the second row is twice the first
+              [[1, 0, 0], [0, 1, 0]],     # subtype (2, 0)
+              [[3, 0, 0], [0, 3, 0]],     # subtype (0, 2)
+              [[1, 0, 0], [0, 0, 0]]):    # a zero row
+        with pytest.raises(ValueError, match="subtype is not"):
+            search._standard_forms(space, np.array([G]))
+    with pytest.raises(ValueError, match="shape"):
+        search._standard_forms(space, np.zeros((1, 3, 3), dtype=np.int64))
+    # a refusal for one code of a batch refuses the batch
+    good = _scan_generators(space)[:5]
+    with pytest.raises(ValueError, match="subtype is not"):
+        search._standard_forms(space, np.concatenate([good, [[[1, 0, 0], [0, 1, 0]]]]))
 
 
 def test_all_subtypes():
