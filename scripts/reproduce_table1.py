@@ -7,20 +7,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from leecodes.report import table_csv, table_report
+from leecodes.report import mismatch_lines, table_csv, table_report
 
 
 def main():
     rep = table_report(run_census=True)
     print(table_csv(rep), end="")
-    if not rep.mismatches:
-        print("# every cell matches the published table")
-        return 0
-    print(f"# {len(rep.mismatches)} cells differ from the published table:")
-    for mm in rep.mismatches:
-        tag = "documented" if mm.documented else "UNDOCUMENTED"
-        print(f"#   row {mm.row:2d} {mm.column:<18} computed={mm.computed} "
-              f"published={mm.published} [{tag}]")
+    print("\n".join(mismatch_lines(rep)))
     return 3 if rep.undocumented else 0
 
 

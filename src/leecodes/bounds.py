@@ -8,13 +8,14 @@ M*(R+1).  Where the literature floors a coefficient but plots the floor of
 the product, both readings are returned, labelled `stated` and `plotted`.
 
 `BOUNDS` names every bound once: its evaluator and its attainment rule.
-`evaluate_bounds`, `attainment_check` and the census all read it.  A code
-attains a bound when its distance d (d_H for the Hamming Singleton bounds,
-d_L otherwise) lies in a range [lo, hi]: for a floor-form bound
-floor((d-1)/M) <= R, whose floored value is M(R+1), lo = floored - M + 1 and
-hi = floored; for every other bound lo = hi = floored.  The values and these
-ranges depend on the parameter tuple only, so they are computed once per
-tuple (an LRU cache of `BOUND_CACHE_SIZE` tuples).  The census and the
+`evaluate_bounds`, `attainment_check`, the census and the characterization
+checks all read it.  A code attains a bound when its distance d (d_H for the
+Hamming Singleton bounds, d_L otherwise) lies in a range [lo, hi]: for a
+floor-form bound floor((d-1)/M) <= R, whose floored value is M(R+1),
+lo = floored - M + 1 and hi = floored; for every other bound
+lo = hi = floored.  The values and these ranges depend on the parameter
+tuple only, so they are computed once per tuple (an LRU cache of
+`BOUND_CACHE_SIZE` tuples).  The census, the characterization checks and the
 per-code calls `evaluate_bounds(code)` and `attainment_check` key it by
 (modulus, n, subtype), `evaluate_bounds(params)` by the `CodeParams`; the
 per-code calls compare d against the cached range and hand out fresh
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .codes import LinearCode
-from .ring import Modulus, ambient_average_weight
+from .codes import LinearCode, subtype_type_k
+from .ring import Modulus, ambient_average_weight, ideal_total_weight
 
 __all__ = [
     "CodeParams",
@@ -40,6 +41,7 @@ __all__ = [
     "BOUNDS",
     "coefficient_A",
     "type_form",
+    "type_form_max_d",
     "singleton_hamming",
     "singleton_rank",
     "z4_singleton",
@@ -102,9 +104,7 @@ class CodeParams:
         subtype = tuple(subtype)
         if len(subtype) != modulus.s:
             raise ValueError(f"subtype must have {modulus.s} entries")
-        s = modulus.s
-        k = Fraction(sum((s - i) * ki for i, ki in enumerate(subtype)), s)
-        return cls(modulus, n, k, sum(subtype), subtype[0], ell)
+        return cls(modulus, n, subtype_type_k(subtype), sum(subtype), subtype[0], ell)
 
     @classmethod
     def from_code(cls, code: LinearCode, ell=None) -> "CodeParams":
@@ -112,17 +112,16 @@ class CodeParams:
 
 
 def coefficient_A(m: Modulus, i: int) -> Fraction:
-    """The ideal-average Plotkin coefficient A(p, s, i).
+    """The ideal-average Plotkin coefficient A(p, s, i): the mean Lee weight
+    of the p^i - 1 nonzero elements of the ideal of order p^i, which is
+    generated by p^(s-i).
 
     p^(s-i)(p^i + 1)/4 for odd p, 2^(s-2+i)/(2^i - 1) for p = 2.  At i = s it
     degenerates to the Chiang-Wolf coefficient.
     """
     if not (1 <= i <= m.s):
         raise ValueError(f"level {i} out of range [1, {m.s}]")
-    p, s = m.p, m.s
-    if p == 2:
-        return Fraction(2 ** (s - 2 + i), 2**i - 1)
-    return Fraction(p ** (s - i) * (p**i + 1), 4)
+    return Fraction(ideal_total_weight(m, m.s - i), m.p**i - 1)
 
 
 # -- Singleton-like bounds -----------------------------------------------------
@@ -139,32 +138,35 @@ def singleton_rank(params: CodeParams) -> int:
     return params.n - params.K + 1
 
 
-def z4_singleton(params: CodeParams) -> int:
-    """Largest d with d <= 2(n - k) + 1 over Z/4 (k may be a half-integer)."""
-    m = params.modulus
-    if (m.p, m.s) != (2, 2):
-        raise ValueError("this bound is specific to Z/4")
-    return math.floor(2 * (params.n - params.k)) + 1
-
-
 def shiromoto_max_d(params: CodeParams) -> int:
     """Largest d with floor((d-1)/M) <= n - ceil(k), i.e. M(n - ceil(k) + 1)."""
-    return params.modulus.M * (params.n - params.ceil_k + 1)
+    return params.modulus.M * singleton_hamming(params)
 
 
 def shiromoto_rank_max_d(params: CodeParams) -> int:
     """Largest d with floor((d-1)/M) <= n - K, i.e. M(n - K + 1)."""
-    if params.K < 1:
-        raise ValueError("rank bound needs K >= 1")
-    return params.modulus.M * (params.n - params.K + 1)
+    return params.modulus.M * singleton_rank(params)
 
 
 def type_form(params: CodeParams) -> Fraction:
-    """M(n - k) for the exact rational type k.  Shiromoto's bound in its
-    original type form is attained when d_L > M(n - k), so its largest
-    consistent d is floor(M(n - k)) + 1; at integer k this is also the
+    """M(n - k) for the exact rational type k; at integer k this is also the
     Alderson-Huntemann value."""
     return params.modulus.M * (params.n - params.k)
+
+
+def type_form_max_d(params: CodeParams) -> int:
+    """floor(M(n - k)) + 1: Shiromoto's bound in its original type form is
+    attained when d_L > M(n - k), that is d_L >= this value."""
+    return math.floor(type_form(params)) + 1
+
+
+def z4_singleton(params: CodeParams) -> int:
+    """Largest d with d <= 2(n - k) + 1 over Z/4 (k may be a half-integer):
+    the type form at M = 2."""
+    m = params.modulus
+    if (m.p, m.s) != (2, 2):
+        raise ValueError("this bound is specific to Z/4")
+    return type_form_max_d(params)
 
 
 def alderson_huntemann(params: CodeParams) -> int | None:
@@ -188,7 +190,7 @@ def chiang_wolf(params: CodeParams) -> Fraction | None:
     """d_L <= A(p,s,s) * (n - k + 1) for free codes of integer type k >= 2."""
     if not params.is_free or params.k.denominator != 1 or params.k < 2:
         return None
-    return coefficient_A(params.modulus, params.modulus.s) * (params.n - params.k + 1)
+    return chiang_wolf_k1(params)  # a free code has k = K = k1
 
 
 def chiang_wolf_k1(params: CodeParams) -> Fraction:
@@ -295,11 +297,6 @@ class Bound:
         whose floored value at `params` is `floored`."""
         lo = floored - params.modulus.M + 1 if self.floor_form else floored
         return lo, floored
-
-    def attained(self, params: CodeParams, target: int, d):
-        """Whether the distance d (an int or a numpy array) attains the bound
-        whose floored value at `params` is `target`."""
-        return _in_range(*self.attainment_range(params, target), d)
 
 
 def _in_range(lo: int, hi: int, d):

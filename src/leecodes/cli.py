@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 budget refusal, 3 reference mismatch.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -25,19 +26,36 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
+def _exit_codes(command):
+    """Run a command, mapping a budget refusal to exit 2 and an input error
+    to exit 1, each reported as one `error:` line."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except BudgetError as exc:
+            _fail(str(exc), 2)
+        except ValueError as exc:
+            _fail(str(exc))
+    return run
+
+
 def _load_code(path: str) -> LinearCode:
     try:
         with open(path) as fh:
-            return parse_code_text(fh.read())
+            text = fh.read()
     except FileNotFoundError:
         _fail(f"no such file: {path}")
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:
-        _fail(str(exc))
+    return parse_code_text(text)
 
 
-def _write(path: str, text: str):
+def _emit(text: str, path: str | None):
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        click.echo(text, nl=False)
+        return
     try:
         with open(path, "w") as fh:
             fh.write(text)
@@ -80,25 +98,21 @@ def _with_k_options(fn):
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
 @_with_k_options
 @click.option("--json", "as_json", is_flag=True, help="emit JSON instead of a table")
+@_exit_codes
 def cmd_bounds(path, p, s, n, subtype, k1, k2, k3, k4, k5, as_json):
     """Evaluate every bound for a parameter set or a concrete code."""
-    try:
-        if path is not None:
-            code = _load_code(path)
-            cells = evaluate_bounds(code)
-            header = f"code over {code.modulus}, n={code.n}, subtype={code.subtype}, d_L={code.min_lee_distance()}"
-        else:
-            if p is None or n is None:
-                raise ValueError("need --file, or --p/--n with a subtype")
-            m = Modulus(p, s)
-            st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
-            params = CodeParams.from_subtype(m, n, st)
-            cells = evaluate_bounds(params)
-            header = f"parameters over {m}, n={n}, subtype={st}, k={params.k}"
-    except BudgetError as exc:
-        _fail(str(exc), 2)
-    except ValueError as exc:
-        _fail(str(exc))
+    if path is not None:
+        code = _load_code(path)
+        cells = evaluate_bounds(code)
+        header = f"code over {code.modulus}, n={code.n}, subtype={code.subtype}, d_L={code.min_lee_distance()}"
+    else:
+        if p is None or n is None:
+            raise ValueError("need --file, or --p/--n with a subtype")
+        m = Modulus(p, s)
+        st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
+        params = CodeParams.from_subtype(m, n, st)
+        cells = evaluate_bounds(params)
+        header = f"parameters over {m}, n={n}, subtype={st}, k={params.k}"
     if as_json:
         doc = {name: {"value": str(c.value) if c.value is not None else None,
                       "floored": c.floored, "applicable": c.applicable,
@@ -121,13 +135,10 @@ def cmd_bounds(path, p, s, n, subtype, k1, k2, k3, k4, k5, as_json):
 
 @main.command("inspect")
 @click.argument("path")
+@_exit_codes
 def cmd_inspect(path):
     """Structural report for a code file."""
-    code = _load_code(path)
-    try:
-        info = report_mod.inspect_code(code)
-    except BudgetError as exc:
-        _fail(str(exc), 2)
+    info = report_mod.inspect_code(_load_code(path))
     for key, value in info.items():
         click.echo(f"{key}: {value}")
 
@@ -144,30 +155,22 @@ def cmd_construct():
 @click.option("--rank", type=click.Choice(["1", "2"]), required=True)
 @click.option("--ell", type=int, default=1, show_default=True, help="replication factor")
 @click.option("-o", "--out", type=str, default=None, help="write to a file instead of stdout")
+@_exit_codes
 def construct_equidistant(p, s, level, rank, ell, out):
-    try:
-        spec = EquidistantSpec(Modulus(p, s), level, int(rank))
-        code = equidistant_rank1(spec) if spec.rank == 1 else equidistant_rank2(spec)
-        if ell > 1:
-            code = code.replicate(ell)
-        comments = [
-            f"shortest Lee-equidistant construction: rank {rank}, level i={level}"
-            + (f", replicated {ell}-fold" if ell > 1 else ""),
-            f"codewords={code.cardinality} lee_equidistant={code.is_lee_equidistant()} "
-            f"weight={code.min_lee_distance()}",
-            f"support_subtype={code.support_subtype()}",
-        ]
-        if ell == 1:
-            comments.append(f"predicted_support_subtype={predict_support_subtype(spec)}")
-    except BudgetError as exc:
-        _fail(str(exc), 2)
-    except ValueError as exc:
-        _fail(str(exc))
-    text = format_code_text(code, comments)
-    if out:
-        _write(out, text)
-    else:
-        click.echo(text, nl=False)
+    spec = EquidistantSpec(Modulus(p, s), level, int(rank))
+    code = equidistant_rank1(spec) if spec.rank == 1 else equidistant_rank2(spec)
+    if ell != 1:
+        code = code.replicate(ell)  # refuses ell < 1
+    comments = [
+        f"shortest Lee-equidistant construction: rank {rank}, level i={level}"
+        + (f", replicated {ell}-fold" if ell > 1 else ""),
+        f"codewords={code.cardinality} lee_equidistant={code.is_lee_equidistant()} "
+        f"weight={code.min_lee_distance()}",
+        f"support_subtype={code.support_subtype()}",
+    ]
+    if ell == 1:
+        comments.append(f"predicted_support_subtype={predict_support_subtype(spec)}")
+    _emit(format_code_text(code, comments), out)
 
 
 @cmd_construct.command("mld")
@@ -177,25 +180,17 @@ def construct_equidistant(p, s, level, rank, ell, out):
 @click.option("--index", type=int, default=0, show_default=True,
               help="which catalog witness to emit (they are listed in a footer)")
 @click.option("-o", "--out", type=str, default=None)
+@_exit_codes
 def construct_mld(p, s, n, index, out):
-    try:
-        codes = catalog_mld(Modulus(p, s), n)
-        if not codes:
-            raise ValueError(f"no catalog witness for p={p}, s={s}, n={n}")
-        if not (0 <= index < len(codes)):
-            raise ValueError(f"catalog holds {len(codes)} witnesses; --index out of range")
-        code = codes[index]
-        comments = [f"catalog witness {index + 1} of {len(codes)}, "
-                    f"d_L={code.min_lee_distance()}"]
-    except BudgetError as exc:
-        _fail(str(exc), 2)
-    except ValueError as exc:
-        _fail(str(exc))
-    text = format_code_text(code, comments)
-    if out:
-        _write(out, text)
-    else:
-        click.echo(text, nl=False)
+    codes = catalog_mld(Modulus(p, s), n)
+    if not codes:
+        raise ValueError(f"no catalog witness for p={p}, s={s}, n={n}")
+    if not (0 <= index < len(codes)):
+        raise ValueError(f"catalog holds {len(codes)} witnesses; --index out of range")
+    code = codes[index]
+    comments = [f"catalog witness {index + 1} of {len(codes)}, "
+                f"d_L={code.min_lee_distance()}"]
+    _emit(format_code_text(code, comments), out)
 
 
 @main.command("census")
@@ -205,19 +200,14 @@ def construct_mld(p, s, n, index, out):
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
 @_with_k_options
 @click.option("--budget", type=int, default=None, help="code budget override")
+@_exit_codes
 def cmd_census(p, s, n, subtype, k1, k2, k3, k4, k5, budget):
     """Exhaustive max-d_L census over one (p, s, n, subtype) space."""
-    try:
-        m = Modulus(p, s)
-        st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
-        kwargs = {"budget": budget} if budget is not None else {}
-        space = SearchSpace(m, n, st, **kwargs)
-        result = max_lee_distance_census(space)
-    except BudgetError as exc:
-        _fail(str(exc), 2)
-    except ValueError as exc:
-        _fail(str(exc))
-    click.echo(result.to_json())
+    m = Modulus(p, s)
+    st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
+    kwargs = {"budget": budget} if budget is not None else {}
+    space = SearchSpace(m, n, st, **kwargs)
+    click.echo(max_lee_distance_census(space).to_json())
 
 
 @main.command("table1")
@@ -227,19 +217,8 @@ def cmd_table1(csv_path, no_census):
     """Recompute the Z/4 comparison table and diff it against the published
     reference; exits 3 on any undocumented cell mismatch."""
     rep = report_mod.table_report(run_census=not no_census)
-    csv_text = report_mod.table_csv(rep)
-    if csv_path:
-        _write(csv_path, csv_text)
-    else:
-        click.echo(csv_text, nl=False)
-    if rep.mismatches:
-        click.echo("# mismatches against the published reference:")
-        for mm in rep.mismatches:
-            tag = "documented" if mm.documented else "UNDOCUMENTED"
-            click.echo(f"#   row {mm.row:2d} {mm.column:<18} computed={mm.computed} "
-                       f"published={mm.published} [{tag}]")
-    else:
-        click.echo("# all cells match the published reference")
+    _emit(report_mod.table_csv(rep), csv_path)
+    click.echo("\n".join(report_mod.mismatch_lines(rep)))
     if rep.undocumented:
         sys.exit(3)
 

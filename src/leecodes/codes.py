@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ring import Modulus, RingVector
+from .ring import Modulus, RingVector, ideal_total_weight
 
 ENUMERATION_BUDGET = 2**24
 
@@ -102,6 +102,13 @@ def _row_reduce(m: Modulus, work: list[list[int]]):
         open_cols.remove(c)
         active.remove(r)
     return pivot_rows, pivots
+
+
+def subtype_type_k(subtype) -> Fraction:
+    """The type k = sum_i (s - i) k_i / s of a code of subtype (k_0, ...,
+    k_(s-1)), s = len(subtype), so that |C| = p^(s k)."""
+    s = len(subtype)
+    return Fraction(sum((s - i) * k for i, k in enumerate(subtype)), s)
 
 
 def coefficient_grid(orders) -> np.ndarray:
@@ -237,8 +244,7 @@ class LinearCode:
 
     @cached_property
     def type_k(self) -> Fraction:
-        s = self.modulus.s
-        return Fraction(sum((s - i) * k for i, k in enumerate(self.subtype)), s)
+        return subtype_type_k(self.subtype)
 
     @cached_property
     def cardinality(self) -> int:
@@ -403,14 +409,13 @@ class LinearCode:
         return tuple(counts)
 
     def average_lee_weight(self) -> Fraction:
-        """Mean Lee weight over the code, from the support subtype closed form."""
-        p, s, q = self.modulus.p, self.modulus.s, self.modulus.q
+        """Mean Lee weight over the code, from the support subtype: a
+        coordinate whose projection is the ideal generated by p^i runs
+        uniformly over its p^(s-i) elements, so its mean weight is
+        ideal_total_weight(i) / p^(s-i) = ideal_total_weight(i) p^i / q."""
+        m = self.modulus
         ns = self.support_subtype()
-        supp = self.n - ns[s]
-        if p == 2:
-            return Fraction(2**s * supp, 4)
-        total = q * q * supp - sum(p ** (2 * i) * ns[i] for i in range(s))
-        return Fraction(total, 4 * q)
+        return Fraction(sum(ns[i] * ideal_total_weight(m, i) * m.p**i for i in range(m.s)), m.q)
 
     # -- derived codes -------------------------------------------------------
 

@@ -74,6 +74,27 @@ def _repeat_each(elems, times):
     return out
 
 
+def _rank1_row(m: Modulus, i: int) -> list[int]:
+    """The level-i generator for s >= 2: p copies of every level-(i-1) sign
+    class, then p-1 copies of every deeper non-socle class."""
+    row = _repeat_each(sign_class_reps(m, i - 1), m.p)
+    for j in range(i, m.s):
+        row.extend(_repeat_each(sign_class_reps(m, j), m.p - 1))
+    return row
+
+
+def _rank1_counts(m: Modulus, i: int) -> list[int]:
+    """The support subtype (n_0, ..., n_s) of _rank1_row(m, i), in closed
+    form: p^(s-j-1)(p-1)/2 sign classes at each level j < s, repeated p times
+    at level i-1 and p-1 times below it."""
+    p, s = m.p, m.s
+    counts = [0] * (s + 1)
+    counts[i - 1] = p ** (s - i + 1) * (p - 1) // 2
+    for j in range(i, s):
+        counts[j] = p ** (s - j - 1) * (p - 1) ** 2 // 2
+    return counts
+
+
 def equidistant_rank1(spec: EquidistantSpec) -> LinearCode:
     """Lee-equidistant cyclic code with k_i = 1.
 
@@ -87,14 +108,9 @@ def equidistant_rank1(spec: EquidistantSpec) -> LinearCode:
     if spec.rank != 1:
         raise ValueError("spec is not rank 1")
     m = spec.modulus
-    p, s = m.p, m.s
-    if s == 1:
-        g = list(range(1, (p - 1) // 2 + 1))
-        return LinearCode.from_generator(m, [g])
-    g = _repeat_each(sign_class_reps(m, spec.i - 1), p)
-    for j in range(spec.i, s):
-        g.extend(_repeat_each(sign_class_reps(m, j), p - 1))
-    return LinearCode.from_generator(m, [g])
+    if m.s == 1:
+        return LinearCode.from_generator(m, [list(range(1, (m.p - 1) // 2 + 1))])
+    return LinearCode.from_generator(m, [_rank1_row(m, spec.i)])
 
 
 def equidistant_rank2(spec: EquidistantSpec) -> LinearCode:
@@ -114,10 +130,7 @@ def equidistant_rank2(spec: EquidistantSpec) -> LinearCode:
     y = x + [(-e) % q for e in x]
     z = [0] + y
 
-    row1 = _repeat_each(sign_class_reps(m, spec.i - 1), p)
-    for j in range(spec.i, s):
-        row1.extend(_repeat_each(sign_class_reps(m, j), p - 1))
-    row1.extend([0] * half)
+    row1 = _rank1_row(m, spec.i) + [0] * half
 
     reps = p ** (s - spec.i)
     row2 = z * (reps * half) + y * ((reps - 1) // 2) + x
@@ -129,24 +142,13 @@ def equidistant_rank2(spec: EquidistantSpec) -> LinearCode:
 def predict_support_subtype(spec: EquidistantSpec) -> tuple[int, ...]:
     """Closed-form support subtype (n_0, ..., n_s) of the built code."""
     m = spec.modulus
-    p, s, i = m.p, m.s, spec.i
-    counts = [0] * (s + 1)
-    if spec.rank == 1:
-        if s == 1:
-            counts[0] = (p - 1) // 2
-            return tuple(counts)
-        counts[i - 1] = p ** (s - i + 1) * (p - 1) // 2
-        for j in range(i, s):
-            counts[j] = p ** (s - j - 1) * (p - 1) ** 2 // 2
-        return tuple(counts)
-    if i == s:
-        # both generators lie in the socle; every coordinate projects onto it
-        counts[s - 1] = (p * p - 1) // 2
-        return tuple(counts)
-    counts[i - 1] = p ** (s - i + 1) * (p - 1) // 2
-    for j in range(i, s - 1):
-        counts[j] = p ** (s - j - 1) * (p - 1) ** 2 // 2
-    counts[s - 1] = p * (p - 1) // 2
+    p, s = m.p, m.s
+    if s == 1:  # rank 1: one copy of every sign class
+        return ((p - 1) // 2, 0)
+    counts = _rank1_counts(m, spec.i)
+    if spec.rank == 2:
+        # the socle row puts the (p-1)/2 zero columns of row 1 at level s-1
+        counts[s - 1] += (p - 1) // 2
     return tuple(counts)
 
 
@@ -157,10 +159,7 @@ def predict_generator_subtypes(spec: EquidistantSpec) -> tuple[tuple[int, ...], 
         raise ValueError("per-generator subtypes exist only for rank 2")
     m = spec.modulus
     p, s, i = m.p, m.s, spec.i
-    g1 = [0] * (s + 1)
-    g1[i - 1] = p ** (s - i + 1) * (p - 1) // 2
-    for ell in range(i, s):
-        g1[ell] = p ** (s - ell - 1) * (p - 1) ** 2 // 2
+    g1 = _rank1_counts(m, i)
     g1[s] = (p - 1) // 2
     g2 = [0] * (s + 1)
     g2[s - 1] = p ** (s - i + 1) * (p - 1) // 2

@@ -18,10 +18,11 @@ from fractions import Fraction
 from importlib import resources
 
 from .bounds import (CodeParams, alderson_huntemann, chiang_wolf_k1, rank_plotkin,
-                     shiromoto_rank_max_d, type_form, wyner_graham, z4_singleton)
+                     shiromoto_rank_max_d, type_form, type_form_max_d, wyner_graham,
+                     z4_singleton)
 from .codes import LinearCode
 from .ring import Modulus
-from .search import SearchSpace, max_lee_distance_census
+from .search import SearchSpace, scan_space
 
 __all__ = [
     "FIGURE_SPECS",
@@ -32,6 +33,7 @@ __all__ = [
     "table_rows",
     "table_report",
     "table_csv",
+    "mismatch_lines",
     "reference_table",
 ]
 
@@ -91,7 +93,7 @@ def figure_csv(fig_id: int) -> str:
 # The published reading of each column; None leaves the cell empty.
 TABLE_COLUMNS = {
     "z4_singleton": z4_singleton,
-    "shiromoto": lambda params: math.floor(type_form(params)) + 1,  # original type-k form
+    "shiromoto": type_form_max_d,  # original type-k form
     "shiromoto_rank": shiromoto_rank_max_d,
     "alderson_huntemann": alderson_huntemann,
     "wyner_graham": _floored(wyner_graham),
@@ -133,7 +135,8 @@ class TableReport:
 
 
 def table_rows(run_census: bool = True) -> list[dict]:
-    """Recompute every table row; `max_d` comes from an exhaustive census."""
+    """Recompute every table row; `max_d` is the largest d_L of an
+    exhaustive scan of the row's space."""
     m = Modulus(2, 2)
     rows = []
     for ref in reference_table()["rows"]:
@@ -142,7 +145,7 @@ def table_rows(run_census: bool = True) -> list[dict]:
                "k1": ref["k1"]}
         if run_census:
             space = SearchSpace(m, ref["n"], _row_subtype(ref))
-            row["max_d"] = max_lee_distance_census(space).max_d
+            row["max_d"] = max(int(d.max()) for _, d in scan_space(space))
         row.update((col, read(params)) for col, read in TABLE_COLUMNS.items())
         rows.append(row)
     return rows
@@ -170,6 +173,19 @@ def table_csv(report: TableReport) -> str:
         cells = [str(row.get(c, "")) if row.get(c) is not None else "-" for c in header]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def mismatch_lines(report: TableReport) -> list[str]:
+    """The comment lines that list the table's cells that differ from the
+    published reference, each tagged documented or UNDOCUMENTED."""
+    if not report.mismatches:
+        return ["# every cell matches the published table"]
+    lines = [f"# {len(report.mismatches)} cells differ from the published table:"]
+    for mm in report.mismatches:
+        tag = "documented" if mm.documented else "UNDOCUMENTED"
+        lines.append(f"#   row {mm.row:2d} {mm.column:<18} computed={mm.computed} "
+                     f"published={mm.published} [{tag}]")
+    return lines
 
 
 # -- structural report used by the CLI inspect command ----------------------------

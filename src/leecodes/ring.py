@@ -135,30 +135,20 @@ def ideal_elements(m: Modulus, i: int) -> list[int]:
 def ideal_total_weight(m: Modulus, i: int) -> int:
     """Total Lee weight of the ideal generated by p^i, in closed form.
 
-    Equals (p^(2s-i) - p^i)/4 for odd p and 2^(2s-i-2) for p = 2; agrees with
-    the brute-force sum over the p^(s-i) ideal elements.
+    The ideal is p^i * Z/N with N = p^(s-i), and wt_L(p^i a) = p^i wt_L(a)
+    for a in Z/N, whose weights total floor(N^2/4): so p^i floor(N^2/4),
+    that is 2^(2s-i-2) for p = 2 and (p^(2s-i) - p^i)/4 for odd p.  The
+    bound coefficients and the average weights are all read from it.
     """
     if not (0 <= i <= m.s - 1):
         raise ValueError(f"ideal level {i} out of range [0, {m.s - 1}]")
-    p, s = m.p, m.s
-    if p == 2:
-        return 2 ** (2 * s - i - 2)
-    num = p ** (2 * s - i) - p**i
-    if num % 4:
-        raise ValueError(f"total weight {num}/4 of level {i} over {m} is not an integer")
-    return num // 4
+    return m.p**i * (m.p ** (2 * (m.s - i)) // 4)
 
 
 def ambient_average_weight(m: Modulus) -> Fraction:
-    """Average Lee weight of the full ring, as an exact rational.
-
-    (p^(2s) - 1)/(4 p^s) for odd p; 2^(s-2) for p = 2 (a Fraction so that
-    s = 1 stays exact).
-    """
-    p, s = m.p, m.s
-    if p == 2:
-        return Fraction(2**s, 4)
-    return Fraction(p ** (2 * s) - 1, 4 * p**s)
+    """Average Lee weight of the full ring, as an exact rational: the total
+    weight of the level-0 ideal over its q elements."""
+    return Fraction(ideal_total_weight(m, 0), m.q)
 
 
 # The componentwise Gray map on Z/4.  Any table satisfying

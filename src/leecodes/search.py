@@ -42,7 +42,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import BOUNDS, CodeParams, _cell_fields, _in_range, type_form
+from .bounds import BOUNDS, CodeParams, _cell_fields, _in_range, type_form_max_d
 from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, _lee_sum_dtype, signed_half,
                     word_profiles, word_table)
 from .ring import Modulus
@@ -446,11 +446,16 @@ class CensusResult:
         return json.dumps(doc, indent=2)
 
 
+def _cells(space: SearchSpace):
+    """The bound cells of the space's parameters, cached per (modulus, n,
+    subtype): per bound id, its row (value, floored, applicable, stated, span)."""
+    return _cell_fields((space.modulus, space.n, space.subtype))
+
+
 def _attainment_test(space: SearchSpace, bound_id: str):
     """The attainment predicate of one bound on an array of distances, read
-    from the bound cells cached per (modulus, n, subtype); None where the
-    bound does not apply."""
-    span = _cell_fields((space.modulus, space.n, space.subtype))[bound_id][-1]
+    from the cached bound cells; None where the bound does not apply."""
+    span = _cells(space)[bound_id][-1]
     return None if span is None else functools.partial(_in_range, *span[1:])
 
 
@@ -772,7 +777,7 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
 
     def targets(space):
         params = space.params
-        strict_min = math.floor(type_form(params)) + 1
+        strict_min = type_form_max_d(params)
         tests = {"strict": lambda d: d >= strict_min}
         if params.ceil_k < params.n:
             tests["ceiling"] = _attainment_test(space, "shiromoto")
@@ -807,7 +812,7 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
                              for c in _dedup_generators(space, hits[name]) if not allowed(c))
     # the named witnesses must themselves attain the strict form
     def strictly_attains(c: LinearCode) -> bool:
-        return c.min_lee_distance() > type_form(CodeParams.from_code(c))
+        return c.min_lee_distance() >= type_form_max_d(CodeParams.from_code(c))
 
     for m in rings:
         if m.q == 5 and n_max >= 2 and not strictly_attains(_Z5_WITNESS):
@@ -893,31 +898,23 @@ def _check_alderson(rings, n_max, budget) -> dict:
 
 
 def _check_plotkin_rank(rings, n_max, budget) -> dict:
+    """Spaces holding attainers of the level-1 rank bound A(p,s,1)(n - K + 1)
+    over odd p, each of which must have n <= p + 1 and n - K + 1 in
+    {p - 1, (p - 1)/2}, where the bound reads p^(s-1)(p^2 - 1)/4 or half of it."""
     extra: list[str] = []
     examined = attainers = 0
-    bound = BOUNDS["rank_plotkin"]
-    floored = {}  # the bound's floored value per scanned space
 
     def targets(space):
-        params = space.params
-        cell = bound.cell(params)
-        if cell.value.denominator != 1:
+        if _cells(space)["rank_plotkin"][0].denominator != 1:
             return None  # an integer distance can never meet it exactly
-        floored[space] = cell.floored
-        return {"rank_plotkin": functools.partial(bound.attained, params, cell.floored)}
-
-    def predicted(params: CodeParams, target: int) -> bool:
-        n, K, p, s = params.n, params.K, params.modulus.p, params.modulus.s
-        w_full = p ** (s - 1) * (p * p - 1) // 4
-        return n <= p + 1 and ((K == n - p + 2 and target == w_full) or
-                               (2 * K == 2 * n + 2 - (p - 1) and target == w_full // 2))
+        return {"rank_plotkin": _attainment_test(space, "rank_plotkin")}
 
     for space, hits, count, _ in _sweep([m for m in rings if m.p != 2], n_max, budget, targets):
         examined += count
         attainers += len(hits["rank_plotkin"])
-        target = floored[space]
-        if len(hits["rank_plotkin"]) and not predicted(space.params, target):
-            extra.append(f"{space}: d={target}")
+        n, K, p = space.n, space.rank, space.modulus.p
+        if len(hits["rank_plotkin"]) and not (n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)):
+            extra.append(f"{space}: d={_cells(space)['rank_plotkin'][1]}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,
             "examined": examined, "attainers": attainers}
 

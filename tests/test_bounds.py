@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from leecodes import bounds
-from leecodes.bounds import (BOUND_CACHE_SIZE, BOUNDS, Bound, CodeParams,
+from leecodes.bounds import (BOUND_CACHE_SIZE, BOUNDS, Bound, CodeParams, _in_range,
                              alderson_huntemann, applicable_levels,
                              attainment_check, chiang_wolf, chiang_wolf_k1,
                              coefficient_A, evaluate_bounds, hamming_to_lee,
                              rank_plotkin, shiromoto_max_d, shiromoto_rank_max_d,
                              singleton_hamming, singleton_rank, subcode_plotkin,
-                             wyner_graham, z4_singleton)
+                             type_form_max_d, wyner_graham, z4_singleton)
 from leecodes.codes import LinearCode
 from leecodes.constructions import EquidistantSpec, equidistant_rank1
-from leecodes.ring import Modulus
+from leecodes.ring import Modulus, lee_weight_elem
 from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
 
 Z4 = Modulus(2, 2)
@@ -48,6 +48,13 @@ def test_z4_singleton():
     assert z4_singleton(P(Z4, 3, 3, 3, 3)) == 1
     with pytest.raises(ValueError):
         z4_singleton(P(Z5, 2, 1, 1, 1))
+
+
+def test_z4_singleton_is_the_type_form_at_M_2():
+    for n in range(1, 9):
+        for subtype in all_subtypes(Z4, n):
+            params = CodeParams.from_subtype(Z4, n, subtype)
+            assert z4_singleton(params) == type_form_max_d(params), (n, subtype)
 
 
 def test_shiromoto_max_d():
@@ -101,6 +108,18 @@ def test_coefficient_A():
     assert coefficient_A(Z4, 2) == Fraction(4, 3)
     with pytest.raises(ValueError):
         coefficient_A(Z4, 3)
+
+
+def test_coefficient_A_is_the_mean_weight_of_the_nonzero_ideal_elements():
+    # the ideal of order p^i is generated by p^(s-i); summed element by element
+    for m in [Modulus(2, 1), Z4, Modulus(2, 3), Modulus(2, 4), Z9, Modulus(3, 3),
+              Z25, Z243, Z3125]:
+        for i in range(1, m.s + 1):
+            step = m.p ** (m.s - i)
+            nonzero = range(step, m.q, step)
+            assert len(nonzero) == m.p**i - 1
+            mean = Fraction(sum(lee_weight_elem(m, a) for a in nonzero), len(nonzero))
+            assert coefficient_A(m, i) == mean, (m, i)
 
 
 def test_coefficient_A_monotone_and_degenerate():
@@ -270,8 +289,8 @@ def test_attainment_matches_the_scalar_rule_on_every_small_code():
                         expected = rule(bound, params, direct.floored, d[bound.hamming])
                         assert cells[name].attained is expected, (code, name)
                         assert attainment_check(code, name) is expected, (code, name)
-                        assert bool(bound.attained(params, direct.floored,
-                                                   d[bound.hamming])) is expected
+                        assert bool(_in_range(*bound.attainment_range(params, direct.floored),
+                                              d[bound.hamming])) is expected
                         checked += 1
                         attainers += expected
     assert checked > 10_000 and attainers > 1_000
@@ -280,7 +299,7 @@ def test_attainment_matches_the_scalar_rule_on_every_small_code():
     for name in ("shiromoto", "lee_mdr", "wyner_graham", "singleton_hamming"):
         bound, params = BOUNDS[name], P(Z9, 3, 1, 1, 1)
         floored = bound.cell(params).floored
-        assert bound.attained(params, floored, d).tolist() == [
+        assert _in_range(*bound.attainment_range(params, floored), d).tolist() == [
             rule(bound, params, floored, int(x)) for x in d]
 
 

@@ -86,6 +86,9 @@ def test_unreadable_and_unwritable_paths_exit_1(tmp_path):
                        "--rank", "1", "-o", missing))
     _fails_cleanly(run("construct", "mld", "--p", "2", "--s", "3", "--n", "4", "-o", missing))
     _fails_cleanly(run("table1", "--no-census", "--csv", missing))
+    for ell in ("0", "-3"):   # a replication count below 1
+        _fails_cleanly(run("construct", "equidistant", "--p", "3", "--s", "2", "--i", "1",
+                           "--rank", "1", "--ell", ell))
 
 
 def test_construct_equidistant_round_trip():

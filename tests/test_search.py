@@ -10,7 +10,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from leecodes import search
+from leecodes import bounds, search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
@@ -760,7 +760,12 @@ def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkey
         return bound.evaluate(params)
 
     monkeypatch.setitem(BOUNDS, "rank_plotkin", dataclasses.replace(bound, evaluate=counted))
-    report = check_characterization("plotkin_rank", [Z5, Z9], 3)
+    # the check reads the bound cells through their cache
+    bounds._cell_fields.cache_clear()
+    try:
+        report = check_characterization("plotkin_rank", [Z5, Z9], 3)
+    finally:
+        bounds._cell_fields.cache_clear()
     spaces = [SearchSpace(m, n, subtype).params
               for m in (Z5, Z9) for n in range(1, 4) for subtype in all_subtypes(m, n)]
     assert report["attainers"] and calls == Counter(spaces)
