@@ -14,12 +14,11 @@ Hamming Singleton bounds, d_L otherwise) lies in a range [lo, hi]: for a
 floor-form bound floor((d-1)/M) <= R, whose floored value is M(R+1),
 lo = floored - M + 1 and hi = floored; for every other bound
 lo = hi = floored.  The values and these ranges depend on the parameter
-tuple only, so they are computed once per tuple (an LRU cache of
-`BOUND_CACHE_SIZE` tuples).  The census, the characterization checks and the
-per-code calls `evaluate_bounds(code)` and `attainment_check` key it by
-(modulus, n, subtype), `evaluate_bounds(params)` by the `CodeParams`; the
-per-code calls compare d against the cached range and hand out fresh
-`BoundCell`s on every call.
+tuple only, so the census, the characterization checks and the per-code
+calls `evaluate_bounds(code)` and `attainment_check` read them from one LRU
+cache of `BOUND_CACHE_SIZE` (modulus, n, subtype) keys; the per-code calls
+compare d against the cached range and hand out fresh `BoundCell`s on every
+call.  `evaluate_bounds(params)` evaluates each bound directly.
 """
 
 from __future__ import annotations
@@ -237,21 +236,16 @@ def subcode_plotkin(code: LinearCode, subcode: LinearCode) -> Fraction:
 
 def applicable_levels(code: LinearCode) -> set[int]:
     """Levels ell admitting a witness y with w_H(y) = d_H(C) = d_H(<y>) and
-    y of order dividing p^ell.  Level 1 is always applicable."""
-    m = code.modulus
+    y of order p^ell.  Level 1 is always applicable.
+
+    Every codeword y of Hamming weight d_H(C) is a witness: <y> lies in C, so
+    d_H(<y>) >= d_H(C), and y lies in <y>, so d_H(<y>) <= w_H(y) = d_H(C).
+    The levels are s - v(y) over those words, read from the codeword
+    profiles (order valuation v, Lee and Hamming weight)."""
     d_h = code.min_hamming_distance()
-    levels = {1}
-    for word in code.codewords():
-        if sum(1 for e in word.entries if e) != d_h:
-            continue
-        order_val = min(m.val(e) for e in word.entries if e)
-        ell = m.s - order_val
-        if ell in levels:
-            continue
-        cyclic = LinearCode.from_generator(m, [word.entries], n=code.n)
-        if cyclic.min_hamming_distance() == d_h:
-            levels.add(ell)
-    return levels
+    profiles = code.codeword_profiles
+    valuations = set(profiles[profiles[:, 2] == d_h, 0].tolist())
+    return {1} | {code.modulus.s - v for v in valuations}
 
 
 # -- the registry, reports and attainment -----------------------------------------
@@ -323,17 +317,13 @@ BOUND_IDS = tuple(BOUNDS)
 
 
 @functools.lru_cache(maxsize=BOUND_CACHE_SIZE)
-def _cell_fields(key) -> Mapping[str, tuple]:
+def _cell_fields(modulus: Modulus, n: int, subtype) -> Mapping[str, tuple]:
     """Per bound id, in BOUNDS order, the row (value, floored, applicable,
-    stated, span) of its cell, where span is (hamming, lo, hi) with the
-    Bound.attainment_range [lo, hi], or None where the bound does not apply;
-    a read-only mapping, so every caller of the cache shares it.
-
-    `key` is a CodeParams, or the (modulus, n, subtype) of a code or search
-    space, read as CodeParams.from_subtype: the census and the per-code
-    calls key by subtype, which hashes faster than a CodeParams and needs
-    none built on a hit."""
-    params = key if isinstance(key, CodeParams) else CodeParams.from_subtype(*key)
+    stated, span) of its cell at CodeParams.from_subtype(modulus, n,
+    subtype), where span is (hamming, lo, hi) with the Bound.attainment_range
+    [lo, hi], or None where the bound does not apply; a read-only mapping,
+    so every caller of the cache shares it."""
+    params = CodeParams.from_subtype(modulus, n, subtype)
     rows = {}
     for name, bound in BOUNDS.items():
         c = bound.cell(params)
@@ -350,7 +340,7 @@ def attainment_check(code: LinearCode, bound_id: str) -> bool:
     if bound is None:
         raise ValueError(f"unknown bound id {bound_id!r}")
     d = code.min_hamming_distance() if bound.hamming else code.min_lee_distance()
-    span = _cell_fields((code.modulus, code.n, code.subtype))[bound_id][-1]
+    span = _cell_fields(code.modulus, code.n, code.subtype)[bound_id][-1]
     if span is None:
         raise ValueError(f"bound {bound_id!r} is inapplicable to these parameters")
     _, lo, hi = span
@@ -359,12 +349,10 @@ def attainment_check(code: LinearCode, bound_id: str) -> bool:
 
 def evaluate_bounds(params_or_code) -> dict[str, BoundCell]:
     """BoundCell per bound id; with a concrete code, attainment flags are filled."""
-    code = params_or_code if isinstance(params_or_code, LinearCode) else None
-    rows = _cell_fields(params_or_code if code is None
-                        else (code.modulus, code.n, code.subtype))
-    if code is None:
-        return {name: BoundCell(value, floored, applicable, None, stated)
-                for name, (value, floored, applicable, stated, _) in rows.items()}
+    if not isinstance(params_or_code, LinearCode):
+        return {name: bound.cell(params_or_code) for name, bound in BOUNDS.items()}
+    code = params_or_code
+    rows = _cell_fields(code.modulus, code.n, code.subtype)
     d_lee, d_ham = code.min_lee_distance(), code.min_hamming_distance()
     cells = {}
     for name, (value, floored, applicable, stated, span) in rows.items():

@@ -11,7 +11,7 @@ block-triangular systematic shape with diagonal blocks p^(i-1)*Id_{k_i}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -24,6 +24,15 @@ ENUMERATION_BUDGET = 2**24
 
 class BudgetError(RuntimeError):
     """Raised when an enumeration would exceed its configured budget."""
+
+
+def check_codewords(count: int, what: str, *args):
+    """Refuse to list `count` codewords past ENUMERATION_BUDGET, the one cap
+    on every codeword table; what.format(*args) opens the message ("code
+    has"), formatted only on a refusal."""
+    if count > ENUMERATION_BUDGET:
+        raise BudgetError(f"{what.format(*args)} {count} codewords, over the "
+                          f"enumeration budget of {ENUMERATION_BUDGET}")
 
 
 class TrivialCodeError(ValueError):
@@ -193,13 +202,11 @@ class LinearCode:
     rows: tuple[tuple[int, ...], ...]        # reduced generator rows, pivot order
     pivots: tuple[tuple[int, int], ...]      # (column, valuation) per row
     given_rows: tuple[tuple[int, ...], ...]  # generator as supplied (mod q)
-    budget: int = field(default=ENUMERATION_BUDGET, repr=False)
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_generator(cls, modulus: Modulus, rows, n: int | None = None,
-                       budget: int = ENUMERATION_BUDGET) -> "LinearCode":
+    def from_generator(cls, modulus: Modulus, rows, n: int | None = None) -> "LinearCode":
         """Build the row span of `rows`; redundant or zero rows are allowed."""
         q = modulus.q
         given = tuple([tuple([int(e) % q for e in row]) for row in rows])
@@ -209,17 +216,17 @@ class LinearCode:
             n = len(given[0])
         if any(len(r) != n for r in given):
             raise ValueError("generator rows disagree with the code length")
-        return cls._from_residues(modulus, given, n, budget)
+        return cls._from_residues(modulus, given, n)
 
     @classmethod
-    def _from_residues(cls, modulus: Modulus, given, n: int, budget: int) -> "LinearCode":
+    def _from_residues(cls, modulus: Modulus, given, n: int) -> "LinearCode":
         """The row span of `given`: rows of length n with entries in [0, q)."""
         reduced, pivots = _row_reduce(modulus, [list(r) for r in given])
-        return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given, budget)
+        return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given)
 
     @classmethod
-    def from_matrix(cls, mat: CodeMatrix, budget: int = ENUMERATION_BUDGET) -> "LinearCode":
-        return cls.from_generator(mat.modulus, mat.rows, n=mat.ncols, budget=budget)
+    def from_matrix(cls, mat: CodeMatrix) -> "LinearCode":
+        return cls.from_generator(mat.modulus, mat.rows, n=mat.ncols)
 
     @classmethod
     def zero(cls, modulus: Modulus, n: int) -> "LinearCode":
@@ -308,22 +315,15 @@ class LinearCode:
 
     # -- codeword enumeration ----------------------------------------------
 
-    def _check_budget(self, budget: int | None = None):
-        limit = self.budget if budget is None else budget
-        if self.cardinality > limit:
-            raise BudgetError(
-                f"code has {self.cardinality} codewords, over the enumeration "
-                f"budget of {limit}")
-
-    def codewords(self, budget: int | None = None):
+    def codewords(self):
         """Yield every codeword once, as RingVector, in mixed-radix row order."""
-        for word in self.codeword_array(budget).tolist():
+        for word in self.codeword_array().tolist():
             yield RingVector(self.modulus, tuple(word))
 
-    def codeword_array(self, budget: int | None = None) -> np.ndarray:
+    def codeword_array(self) -> np.ndarray:
         """All codewords as a read-only (|C|, n) integer array in mixed-radix
         row order, the last row's coefficient fastest; built once per code."""
-        self._check_budget(budget)
+        check_codewords(self.cardinality, "code has")
         return self._codeword_array
 
     @cached_property
@@ -374,7 +374,7 @@ class LinearCode:
     def _nonzero_weights(self) -> tuple[np.ndarray, np.ndarray]:
         if self.cardinality < 2:
             raise TrivialCodeError("the zero code has no minimum distance")
-        self._check_budget()
+        check_codewords(self.cardinality, "code has")
         lee, hamming = self._weights
         return lee[1:], hamming[1:]
 
@@ -428,7 +428,7 @@ class LinearCode:
             gens.append([(f * e) % q for e in row])
         if not gens:
             gens = [[0] * self.n]
-        return LinearCode.from_generator(self.modulus, gens, n=self.n, budget=self.budget)
+        return LinearCode.from_generator(self.modulus, gens, n=self.n)
 
     def parity_check(self) -> CodeMatrix:
         """A generator matrix of the dual code (so G . H^T = 0)."""
@@ -466,7 +466,7 @@ class LinearCode:
                 gens.append(solve(x, len(steps) - t))
         if not gens:
             gens = [[0] * n]
-        return LinearCode._from_residues(m, tuple(map(tuple, gens)), n, self.budget)
+        return LinearCode._from_residues(m, tuple(map(tuple, gens)), n)
 
     # -- equidistance and replication ----------------------------------------
 
@@ -486,7 +486,7 @@ class LinearCode:
         if ell < 1:
             raise ValueError("replication count must be >= 1")
         rows = [tuple(row) * ell for row in self.given_rows]
-        return LinearCode.from_generator(self.modulus, rows, n=self.n * ell, budget=self.budget)
+        return LinearCode.from_generator(self.modulus, rows, n=self.n * ell)
 
     def __repr__(self):
         return (f"LinearCode({self.modulus}, n={self.n}, subtype={self.subtype}, "
@@ -499,7 +499,7 @@ class LinearCode:
 # space-separated integers; '#' starts a comment line.
 
 
-def parse_code_text(text: str, budget: int = ENUMERATION_BUDGET) -> LinearCode:
+def parse_code_text(text: str) -> LinearCode:
     numbered = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)]
     numbered = [(i, ln) for i, ln in numbered if ln and not ln.startswith("#")]
     if not numbered:
@@ -524,7 +524,7 @@ def parse_code_text(text: str, budget: int = ENUMERATION_BUDGET) -> LinearCode:
         rows.append(row)
     if not rows:
         rows = [[0] * n]
-    return LinearCode.from_generator(m, rows, n=n, budget=budget)
+    return LinearCode.from_generator(m, rows, n=n)
 
 
 def format_code_text(code: LinearCode, comments: list[str] | None = None) -> str:

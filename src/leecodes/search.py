@@ -43,7 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .bounds import BOUNDS, CodeParams, _cell_fields, _in_range, type_form_max_d
-from .codes import (ENUMERATION_BUDGET, BudgetError, LinearCode, _lee_sum_dtype, signed_half,
+from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
 from .ring import Modulus
 
@@ -202,14 +202,11 @@ def enumerate_codes(space: SearchSpace):
 def _space_orders(space: SearchSpace) -> list[int]:
     """The orders of the space's standard generator rows: row i of block j
     takes p^(s+1-j) coefficients, so word_table lists each codeword of the
-    code once.  Codes of more than ENUMERATION_BUDGET codewords raise
-    BudgetError, as codeword_array does."""
+    code once.  Codes of more codewords than the enumeration budget raise
+    BudgetError through check_codewords, as codeword_array does."""
     p, s = space.modulus.p, space.modulus.s
     orders = [p ** (s + 1 - i) for i, k in enumerate(space.subtype, start=1) for _ in range(k)]
-    card = math.prod(orders)
-    if card > ENUMERATION_BUDGET:
-        raise BudgetError(f"codes of {space} have {card} codewords, over the "
-                          f"enumeration budget of {ENUMERATION_BUDGET}")
+    check_codewords(math.prod(orders), "codes of {} have", space)
     return orders
 
 
@@ -449,7 +446,7 @@ class CensusResult:
 def _cells(space: SearchSpace):
     """The bound cells of the space's parameters, cached per (modulus, n,
     subtype): per bound id, its row (value, floored, applicable, stated, span)."""
-    return _cell_fields((space.modulus, space.n, space.subtype))
+    return _cell_fields(space.modulus, space.n, space.subtype)
 
 
 def _attainment_test(space: SearchSpace, bound_id: str):
@@ -920,19 +917,24 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
 
 
 def _check_rank2_equidistant(rings, n_max, budget) -> dict:
-    """No Lee-equidistant rank-2 code may have both generators of order > p.
+    """A sufficient test, up to length n_max, that no Lee-equidistant rank-2
+    code has both generators of order > p.
 
     Any such code contains a cyclic equidistant subcode generated by an
-    element of order >= p^2, so it suffices to scan single generators: if no
-    vector of valuation <= s-2 generates an equidistant cyclic code, the
-    claimed codes cannot exist at these lengths.  Each such cyclic code is
+    element of order >= p^2, so it scans single generators: if no vector of
+    valuation <= s-2 generates an equidistant cyclic code of length at most
+    n_max, no such code of those lengths exists.  Each such cyclic code is
     scanned once, as the standard generator of a rank-1 space of subtype
     e_v, v <= s-2.
 
-    The reduction is only a sufficient test.  For p = 2 it fails from n = 3
-    on (Z/4, Z/8): the survivors listed there are Lee-equidistant cyclic
-    codes, not rank-2 counterexamples, so the verdict is EXTRA without the
-    claim being refuted.
+    The claim does not hold at every length.  Over Z/9 the 36 sign classes
+    {v, -v} of (Z/9)^2 with a unit entry, as columns, give a free rank-2
+    Lee-equidistant code of length 36 with d_L = 81 (the column-count
+    argument of Wood, "The structure of linear codes of constant weight",
+    Trans. AMS 354, 2002); the verdict over Z/9 is EQUAL up to n = 6 only
+    because no cyclic code of order 9 is equidistant below length 11.  For
+    p = 2 the test fails from n = 3 on (Z/4, Z/8): the survivors listed
+    there are Lee-equidistant cyclic codes, so the verdict is EXTRA.
     """
     counterexamples: list[str] = []
     scanned = 0

@@ -225,6 +225,16 @@ def test_applicable_levels_matches_oracle():
         if c.cardinality < 2:
             continue
         assert applicable_levels(c) == _levels_oracle(c)
+    # and every code of Z/4, Z/8 and Z/9 with n <= 3 and of Z/27 with n <= 2
+    spaces = [(m, n) for m in (Z4, Modulus(2, 3), Z9) for n in (1, 2, 3)]
+    spaces += [(Modulus(3, 3), n) for n in (1, 2)]
+    checked = 0
+    for m, n in spaces:
+        for subtype in all_subtypes(m, n):
+            for c in enumerate_codes(SearchSpace(m, n, subtype)):
+                assert applicable_levels(c) == _levels_oracle(c), c
+                checked += 1
+    assert checked == 1530
 
 
 def test_level_bound_soundness():
@@ -341,25 +351,32 @@ CACHE_RINGS = [Modulus(2, 1), Z4, Modulus(2, 3), Modulus(3, 1), Z5, Z9, Z25,
                Modulus(3, 3)]
 
 
-def every_subtype_params(n_max=6):
-    """CodeParams of every subtype (the zero one too) of CACHE_RINGS with
-    n <= n_max, with ell unset and with ell = 1..s."""
+def every_subtype(n_max=7):
+    """(modulus, n, subtype) of every subtype (the zero one too) of
+    CACHE_RINGS with n <= n_max: 1,120 keys at n_max = 7."""
     for m in CACHE_RINGS:
         for n in range(1, n_max + 1):
             for subtype in itertools.product(range(n + 1), repeat=m.s):
                 if sum(subtype) <= n:
-                    for ell in (None, *range(1, m.s + 1)):
-                        yield CodeParams.from_subtype(m, n, subtype, ell)
+                    yield m, n, subtype
 
 
 def test_cached_cells_equal_direct_evaluation():
+    bounds._cell_fields.cache_clear()
     checked = 0
-    for params in every_subtype_params():
-        direct = {name: bound.cell(params) for name, bound in BOUNDS.items()}
-        assert evaluate_bounds(params) == direct, params
+    for m, n, subtype in every_subtype():
+        params = CodeParams.from_subtype(m, n, subtype)
+        rows = bounds._cell_fields(m, n, subtype)
+        assert list(rows) == list(BOUNDS)
+        for name, bound in BOUNDS.items():
+            c = bound.cell(params)
+            span = ((bound.hamming, *bound.attainment_range(params, c.floored))
+                    if c.applicable else None)
+            assert rows[name] == (c.value, c.floored, c.applicable, c.stated, span), (params, name)
         checked += 1
     assert checked > BOUND_CACHE_SIZE  # the cache also evicts on the way
-    assert bounds._cell_fields.cache_info().maxsize == BOUND_CACHE_SIZE
+    info = bounds._cell_fields.cache_info()
+    assert info.maxsize == info.currsize == BOUND_CACHE_SIZE
 
 
 def test_each_call_returns_fresh_cells():

@@ -170,16 +170,20 @@ def test_codeword_enumeration_examples():
     assert words == [(0, 0), (1, 2), (2, 4), (3, 1), (4, 3)]
 
 
-def test_codeword_budget():
-    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]], budget=10)
-    with pytest.raises(BudgetError):
+def test_codeword_budget(monkeypatch):
+    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]])
+    monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 10)
+    with pytest.raises(BudgetError, match="code has 64 codewords, over the enumeration "
+                                          "budget of 10"):
         list(c.codewords())
-    assert len(list(c.codewords(budget=100))) == 64
+    monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 100)
+    assert len(list(c.codewords())) == 64
     # the codeword array is built once and shared read-only; the budget is
     # still checked on every call
-    words = c.codeword_array(budget=100)
+    words = c.codeword_array()
     assert words.shape == (64, 2) and not words.flags.writeable
-    assert c.codeword_array(budget=100) is words
+    assert c.codeword_array() is words
+    monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 10)
     with pytest.raises(BudgetError):
         c.codeword_array()
 
@@ -276,11 +280,13 @@ def test_distances_check_the_budget_and_reuse_the_weights(monkeypatch):
         return word_table(*args)
 
     monkeypatch.setattr(codes, "word_table", counted)
-    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]], budget=10)
+    monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 10)
+    c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]])
     for distance in (c.min_lee_distance, c.min_hamming_distance, c.is_lee_equidistant):
         with pytest.raises(BudgetError):
             distance()
     assert not built
+    monkeypatch.setattr(codes, "ENUMERATION_BUDGET", 100)
     c = LinearCode.from_generator(Z8, [[1, 0], [0, 1]])
     assert c.min_hamming_distance() == 1
     assert c.min_hamming_distance() == 1 and c.min_lee_distance() == 1
@@ -429,7 +435,7 @@ def back_substitution_dual(code):
     gens = [solve([int(j == c) for j in range(code.n)])
             for c in range(code.n) if c not in pivot_cols]
     gens += [solve([0] * code.n, bump=t) for t, (_, v) in enumerate(code.pivots) if v >= 1]
-    return LinearCode.from_generator(m, gens or [[0] * code.n], n=code.n, budget=code.budget)
+    return LinearCode.from_generator(m, gens or [[0] * code.n], n=code.n)
 
 
 def test_dual_matches_back_substitution():

@@ -689,6 +689,20 @@ def test_characterization_rank2_equidistant_p2_survivors_are_cyclic_codes():
     assert len(codes) == 6
 
 
+def test_rank2_equidistant_witness_of_length_36_over_z9():
+    # the claim "no Lee-equidistant rank-2 code with both generators of order
+    # above p" fails at n = 36: one column per sign class {v, -v} of (Z/9)^2
+    # with a unit entry gives a free Lee-equidistant code; the cyclic check
+    # stays EQUAL because it stops at n = 6
+    columns = [v for v in itertools.product(range(9), repeat=2)
+               if any(e % 3 for e in v) and v < tuple(-e % 9 for e in v)]
+    assert len(columns) == 36
+    code = LinearCode.from_generator(Z9, [list(row) for row in zip(*columns)])
+    assert code.subtype == (2, 0)
+    assert code.is_lee_equidistant() and code.min_lee_distance() == 81
+    assert check_characterization("rank2_equidistant", [Z9], 6)["verdict"] == "EQUAL"
+
+
 def test_characterization_alderson_small():
     rep = check_characterization("alderson_huntemann", [Z5, Z4], 4)
     assert rep["verdict"] == "EQUAL"
