@@ -20,10 +20,10 @@ each pair c, -c.  Placements are batched into capped chunks, and a
 placement past the cap is cut into runs of consecutive codes.  A chunk's
 generators are decoded only for the codes a caller keeps.
 
-Optima and attainers are merged straight from the kept generators: each
-code is keyed by its standard form, which one batched exact row reduction
-gives for the codes and for their images under three generators of the
-signed-permutation group, and every image is looked up among the codes'
+Optima and attainers are merged straight from the kept generators: the
+scan emits standard forms, so each code is keyed by its generator, and one
+batched exact row reduction gives the keys of the codes' images under two
+generators of the signed-permutation group, each looked up among the codes'
 keys.  A key is K n entries, exact for every modulus.  Every predicate kept
 reads d_L only, so the kept set of a whole space is closed under the group
 and its orbit components are its classes.  dedup_codes, the pairwise path,
@@ -36,13 +36,12 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
 
-from .bounds import BOUNDS, CodeParams, _cell_fields, _in_range, type_form_max_d
+from .bounds import CodeParams, _cell_fields, _in_range, type_form_max_d
 from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
 from .ring import Modulus
@@ -450,17 +449,11 @@ def _cells(space: SearchSpace):
 
 
 def _attainment_test(space: SearchSpace, bound_id: str):
-    """The attainment predicate of one bound on an array of distances, read
-    from the cached bound cells; None where the bound does not apply."""
-    span = _cells(space)[bound_id][-1]
-    return None if span is None else functools.partial(_in_range, *span[1:])
-
-
-def _attainment_tests(space: SearchSpace):
-    """The attainment predicate on an array of d_L per applicable Lee bound."""
-    tests = {name: _attainment_test(space, name)
-             for name, bound in BOUNDS.items() if not bound.hamming}
-    return {name: test for name, test in tests.items() if test is not None}
+    """The attainment predicate of one Lee bound on an array of distances,
+    read from the cached bound cells; None for an unknown id, a Hamming
+    bound or a bound that does not apply."""
+    span = _cells(space).get(bound_id, (None,))[-1]
+    return None if span is None or span[0] else functools.partial(_in_range, *span[1:])
 
 
 def _stack(space: SearchSpace, blocks: list[np.ndarray]) -> np.ndarray:
@@ -475,17 +468,19 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
     codes retained (deduplicated up to signed-permutation equivalence).
 
     Counts are over codes: the enumeration generates each code of the space
-    exactly once.
+    exactly once.  Each chunk's sorted distances are counted below the edges
+    lo and hi + 1 of every applicable Lee bound's attainment range [lo, hi]
+    in one searchsorted, so a count is the difference of two running tallies.
     """
-    tests = _attainment_tests(space)
-    counts = Counter()
-    examined = 0
-    max_d = -1
+    spans = {name: span[1:] for name, (*_, span) in _cells(space).items()
+             if span is not None and not span[0]}
+    edges = np.array([(lo, hi + 1) for lo, hi in spans.values()], dtype=np.int64).reshape(-1)
+    below = np.zeros(len(edges), dtype=np.int64)   # codes of d_L below each edge
+    examined, max_d = 0, -1
     best = []   # (chunk generators, mask of its codes at max_d), decoded at the end
     for G, d in scan_space(space):
         examined += len(d)
-        for name, test in tests.items():
-            counts[name] += int(test(d).sum())
+        below += np.searchsorted(np.sort(d), edges)
         top = int(d.max())
         if top > max_d:
             max_d = top
@@ -493,16 +488,16 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
         if top == max_d:
             best.append((G, d == max_d))
     codes = _dedup_generators(space, _stack(space, [G[keep] for G, keep in best]))
-    return CensusResult(space, max_d, codes, examined, dict(counts))
+    counts = dict(zip(spans, (below[1::2] - below[::2]).tolist()))
+    return CensusResult(space, max_d, codes, examined, counts)
 
 
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
-    """All codes of the space attaining the bound, one representative per
+    """All codes of the space attaining the Lee bound, one representative per
     signed-permutation equivalence class."""
-    tests = _attainment_tests(space)
-    if bound_id not in tests:
+    test = _attainment_test(space, bound_id)
+    if test is None:
         raise ValueError(f"bound {bound_id!r} not applicable to {space}")
-    test = tests[bound_id]
     hits = [G[test(d)] for G, d in scan_space(space)]
     return _dedup_generators(space, _stack(space, hits))
 
@@ -629,46 +624,51 @@ def _standard_forms(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     return G
 
 
+def _group_moves(n: int):
+    """tau = (0 1) and sigma', which moves coordinate j to j + 1 and n - 1 to
+    0 with its sign flipped, as (perm, sign): the image of generators G is
+    G[..., perm] * sign.  At n = 1 only sigma', the global sign, is left."""
+    tau = ([1, 0, *range(2, n)], np.ones(n, dtype=np.int64))
+    return [tau] * (n > 1) + [([n - 1, *range(n - 1)], np.r_[-1, tau[1][1:]])]
+
+
 def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     """For each of the distinct codes generated by G (B, K, n), the least
-    index of a code it is joined to by a chain of group generators.
+    index of a code it is joined to by a chain of the _group_moves.
 
-    A code's key is the byte view of its standard form, K n entries.  The
-    group generators are the transposition of coordinates 0 and 1, the cycle
-    of all n coordinates and the sign flip of coordinate 0; the input codes
-    and their images under all three are reduced in one batch, and every
-    image is looked up among the sorted input keys.  The input must be closed
-    under the group, so that each component is one class; a missing image
-    raises ValueError."""
-    q, n, B = space.modulus.q, space.n, len(G)
-    swap, cycle = [1, 0, *range(2, n)], [*range(1, n), 0]
-    # n = 1 needs no permutation, and at n = 2 the cycle is the swap
-    images = [G] + [G[:, :, perm] for perm in (swap, cycle)[:min(n - 1, 2)]]
-    flip = G.copy()
-    flip[:, :, 0] = (q - flip[:, :, 0]) % q
-    images.append(flip)
-    forms = _standard_forms(space, np.concatenate(images))
-    forms = forms.astype(np.min_scalar_type(q - 1)).reshape(len(forms), -1)
-    keys = forms.view(np.dtype((np.void, forms.shape[1] * forms.itemsize))).ravel()
-    order = np.argsort(keys[:B], kind="stable")
-    own = keys[:B][order]
-    heads, tails = [], []
-    for start in range(B, len(keys), B):
-        image = keys[start:start + B]
-        pos = np.minimum(np.searchsorted(own, image), B - 1)
-        hit = np.flatnonzero(own[pos] == image)
-        if len(hit) != B:
-            raise ValueError(f"{B - len(hit)} codes of {space} have an image "
-                             "outside the input, which is not closed under the group")
-        heads.append(hit)
-        tails.append(order[pos[hit]])
-    a, b = np.concatenate(heads), np.concatenate(tails)
+    These generate the signed-permutation group: conjugating tau by powers
+    of sigma' gives every adjacent transposition, so the n-cycle sigma is in
+    the group, and sigma' sigma^-1 is one sign flip.  A code's key is the
+    byte view of its standard form, K n entries; the input must hold
+    standard generators, as the scan emits, so its keys are G % q and only
+    the 2B images are reduced, in one batch, and looked up among the sorted
+    input keys.  The input must be closed under the group, so that each
+    component is one class; a missing image, or a generator not in standard
+    form, raises ValueError.  Each move's lookup is then a permutation
+    `step` of the input, and a finite group's inverses are positive powers,
+    so forward steps reach a whole class.  The walk lowers each label to the
+    label one step ahead, for both steps, then follows labels to their
+    labels, until nothing changes: labels then never rise along a step, so
+    they are constant on each class, and the least index keeps its own."""
+    q, B, moves = space.modulus.q, len(G), _group_moves(space.n)
+    images = _standard_forms(space, np.concatenate([G[:, :, perm] * sign for perm, sign in moves]))
+    own, images = (k.astype(np.min_scalar_type(q - 1), order="C").reshape(len(k), -1)
+                   for k in (G % q, images))
+    own, images = (k.view(np.dtype((np.void, k.shape[1] * k.itemsize))).ravel()
+                   for k in (own, images))
+    order = np.argsort(own, kind="stable")
+    own = own[order]
+    pos = np.minimum(np.searchsorted(own, images), B - 1)
+    missing = np.count_nonzero(own[pos] != images)
+    if missing:
+        raise ValueError(f"{missing} images of codes of {space} fall outside the input, "
+                         "which is not closed under the group or not in standard form")
+    steps = order[pos].reshape(len(moves), B)
     label = np.arange(B)
     while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
+        new = label
+        for step in steps:
+            new = np.minimum(new, new[step])
         new = new[new]
         if np.array_equal(new, label):
             return label

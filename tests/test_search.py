@@ -438,6 +438,23 @@ def test_find_attaining_codes():
     assert find_attaining_codes(SearchSpace(Z7, 2, (1,)), "shiromoto") == []
 
 
+def test_find_attaining_codes_refuses_bounds_it_cannot_scan():
+    space = SearchSpace(Z5, 2, (1,))
+    # an unknown id, a Hamming bound, and a Lee bound inapplicable to Z/5
+    for bound_id in ("no_such_bound", "singleton_hamming", "z4_singleton"):
+        with pytest.raises(ValueError, match=f"bound '{bound_id}' not applicable to "):
+            find_attaining_codes(space, bound_id)
+
+
+@pytest.mark.parametrize("cells", [1, 500, 5000])
+def test_census_results_match_across_chunk_sizes(monkeypatch, cells):
+    # the attainment tallies and the running maximum span chunks
+    whole = [max_lee_distance_census(space).to_json() for space in _CAPPED_SPACES]
+    monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
+    assert len(list(scan_space(_CAPPED_SPACES[0]))) > 1
+    assert [max_lee_distance_census(space).to_json() for space in _CAPPED_SPACES] == whole
+
+
 def test_verify_mds_socle():
     assert verify_mds_socle(LinearCode.from_generator(Z5, [[1, 2]]))
     assert not verify_mds_socle(LinearCode.from_generator(Z4, [[2, 2, 0]]))
@@ -505,6 +522,44 @@ def test_dedup_past_exact_int64_keys():
     kept = _dedup_generators(space, gens)
     assert [k.given_rows for k in kept] == [((1, 1) + (0,) * (n - 2),),
                                            ((1,) + (0,) * (n - 1),)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_group_moves_generate_the_signed_permutation_group(n):
+    # the orbit of a point of distinct nonzero entries under the forward
+    # moves, which a finite group's inverses need not extend, is the group
+    moves = search._group_moves(n)
+    seen = {tuple(range(1, n + 1))}
+    frontier = np.array(list(seen))
+    while len(frontier):
+        images = {tuple(x) for perm, sign in moves for x in (frontier[:, perm] * sign).tolist()}
+        frontier = np.array(sorted(images - seen), dtype=np.int64).reshape(-1, n)
+        seen |= images
+    assert len(seen) == math.factorial(n) * 2**n
+
+
+def test_orbit_walk_refuses_a_generator_not_in_standard_form():
+    space = SearchSpace(Z5, 3, (1,))
+    G = _scan_generators(space)
+    assert len(_dedup_generators(space, G)) > 1
+    # the same code, but its row times the unit 2 is not its standard form
+    G[7] = G[7] * 2 % 5
+    assert LinearCode.from_generator(Z5, G[7].tolist()) \
+        == LinearCode.from_generator(Z5, _scan_generators(space)[7].tolist())
+    with pytest.raises(ValueError, match="not in standard form"):
+        _dedup_generators(space, G)
+
+
+def test_orbit_walk_keeps_each_code_of_length_one():
+    # at n = 1 the group is the global sign, which fixes every code; each
+    # space holds one code, and the walk still looks up its image
+    for m in (Z4, Z5, Z8, Z9, Z27):
+        for subtype in all_subtypes(m, 1):
+            space = SearchSpace(m, 1, subtype)
+            G = _scan_generators(space)
+            assert np.array_equal(search._orbit_labels(space, G), np.arange(len(G)))
+            assert [c.rows for c in _dedup_generators(space, G)] \
+                == [c.rows for c in enumerate_codes(space)]
 
 
 def _orbit_key(code):
