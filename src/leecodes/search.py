@@ -24,10 +24,14 @@ Optima and attainers are merged straight from the kept generators: the
 scan emits standard forms, so each code is keyed by its generator, and one
 batched exact row reduction gives the keys of the codes' images under two
 generators of the signed-permutation group, each looked up among the codes'
-keys.  A key is K n entries, exact for every modulus.  Every predicate kept
+keys.  A key is K n entries, exact for every modulus.  The two moves are
+built once per length, and the reduction scales its pivot rows by unit
+inverses taken as powers, with no sort of the units.  Every predicate kept
 reads d_L only, so the kept set of a whole space is closed under the group
-and its orbit components are its classes.  dedup_codes, the pairwise path,
-serves lists that need not be closed.
+and its orbit components are its classes.  Each class root is built from
+its standard generator as it stands, which is its own reduced form, so no
+root is reduced twice.  dedup_codes, the pairwise path, serves lists that
+need not be closed.
 """
 
 from __future__ import annotations
@@ -576,26 +580,50 @@ def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
     return unique
 
 
+def _unit_inverses(m: Modulus, u: np.ndarray) -> np.ndarray:
+    """The inverse modulo q of each unit of the int64 array u, entries in
+    [0, q): u^(phi(q) - 1) with phi(q) = p^(s-1) (p - 1), by square and
+    multiply over the exponent's bits, O(len(u) log q) with no sort and no
+    Python loop per entry.  Every product is of two residues below q <=
+    2^31, so below 2^62."""
+    q, e = m.q, m.p ** (m.s - 1) * (m.p - 1) - 1
+    inverse = np.ones_like(u)
+    while e:
+        if e & 1:
+            inverse = inverse * u % q
+        e >>= 1
+        if e:
+            u = u * u % q
+    return inverse
+
+
+def _pivot_valuations(space: SearchSpace) -> list[int]:
+    """The valuation v_t of each row's pivot that the subtype fixes: k_1
+    rows at 0, then k_2 rows at 1, ..."""
+    return [v for v, k in enumerate(space.subtype) for _ in range(k)]
+
+
 def _standard_forms(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     """The standard generator of the code generated by each G[i] of G (N, K,
     n), the one the scan emits for it: shape (N, K, n), int64.
 
-    Row t pivots at the valuation v_t the subtype fixes (k_1 rows at 0, then
-    k_2 rows at 1, ...).  Step t takes the leftmost column that holds an
-    entry of valuation exactly v_t in rows t.., and the first such row.  It
-    moves that row to t, scales it so that the pivot is p^v_t, and subtracts
-    f = e // p^v_t times it from every other row, e being that row's entry
-    at the column: the rows after t are multiples of p^v_t, so they clear
-    there, and the rows before t are left reduced modulo p^v_t.  Entries stay
-    below q <= 2^31, so every product is below 2^62.  A code whose subtype
-    is not the space's raises ValueError."""
+    Row t pivots at the valuation v_t the subtype fixes.  Step t takes the
+    leftmost column that holds an entry of valuation exactly v_t in rows
+    t.., and the first such row.  It moves that row to t, scales it by the
+    unit inverses of _unit_inverses (no sort of the units) so that the pivot
+    is p^v_t, and subtracts f = e // p^v_t times it from every other row, e
+    being that row's entry at the column: the rows after t are multiples of
+    p^v_t, so they clear there, and the rows before t are left reduced
+    modulo p^v_t.  Entries stay below q <= 2^31, so every product is below
+    2^62.  The batch is reduced in a C-contiguous copy, whatever the layout
+    it comes in.  A code whose subtype is not the space's raises ValueError."""
     p, q, K, n = space.modulus.p, space.modulus.q, space.rank, space.n
     G = np.asarray(G, dtype=np.int64)
     if G.ndim != 3 or G.shape[1:] != (K, n):
         raise ValueError(f"generators of {space} have shape (N, {K}, {n}), not {G.shape}")
-    G = G % q
+    G = np.remainder(G, q, order="C")
     at = np.arange(len(G))
-    valuations = [v for v, k in enumerate(space.subtype) for _ in range(k)]
+    valuations = _pivot_valuations(space)
     for t, v in enumerate(valuations):
         pivot = p ** v
         rest = G[:, t:]
@@ -613,9 +641,7 @@ def _standard_forms(space: SearchSpace, G: np.ndarray) -> np.ndarray:
         unit = top[at, col] // pivot
         scale = unit != 1
         if scale.any():
-            units, index = np.unique(unit[scale], return_inverse=True)
-            inverse = np.array([pow(int(u), -1, q) for u in units], dtype=np.int64)
-            top[scale] = top[scale] * inverse[index.reshape(-1)][:, None] % q
+            top[scale] = top[scale] * _unit_inverses(space.modulus, unit[scale])[:, None] % q
         G[:, t] = top
         f = G[at, :, col] // pivot
         f[:, t] = 0
@@ -624,12 +650,21 @@ def _standard_forms(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     return G
 
 
+@functools.lru_cache(maxsize=None)
 def _group_moves(n: int):
     """tau = (0 1) and sigma', which moves coordinate j to j + 1 and n - 1 to
-    0 with its sign flipped, as (perm, sign): the image of generators G is
-    G[..., perm] * sign.  At n = 1 only sigma', the global sign, is left."""
-    tau = ([1, 0, *range(2, n)], np.ones(n, dtype=np.int64))
-    return [tau] * (n > 1) + [([n - 1, *range(n - 1)], np.r_[-1, tau[1][1:]])]
+    0 with its sign flipped, as (perm, sign) arrays: the image of
+    generators G is G[..., perm] * sign.  At n = 1 only sigma', the global
+    sign, is left.  The moves are built once per length and shared, so their
+    arrays are read-only."""
+    sign = np.ones(n, dtype=np.int64)
+    sign[0] = -1
+    moves = [(np.array([1, 0, *range(2, n)]), np.ones(n, dtype=np.int64))] * (n > 1)
+    moves.append((np.array([n - 1, *range(n - 1)]), sign))
+    for move in moves:
+        for array in move:
+            array.flags.writeable = False
+    return tuple(moves)
 
 
 def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
@@ -642,14 +677,16 @@ def _orbit_labels(space: SearchSpace, G: np.ndarray) -> np.ndarray:
     byte view of its standard form, K n entries; the input must hold
     standard generators, as the scan emits, so its keys are G % q and only
     the 2B images are reduced, in one batch, and looked up among the sorted
-    input keys.  The input must be closed under the group, so that each
-    component is one class; a missing image, or a generator not in standard
-    form, raises ValueError.  Each move's lookup is then a permutation
-    `step` of the input, and a finite group's inverses are positive powers,
-    so forward steps reach a whole class.  The walk lowers each label to the
-    label one step ahead, for both steps, then follows labels to their
-    labels, until nothing changes: labels then never rise along a step, so
-    they are constant on each class, and the least index keeps its own."""
+    input keys.  The moves are built once per length and shared by every
+    walk of that length.  The input must be closed under the group, so that
+    each component is one class; a missing image, or a generator not in
+    standard form, raises ValueError.  Each move's lookup is then a
+    permutation `step` of the input, and a finite group's inverses are
+    positive powers, so forward steps reach a whole class.  The walk lowers
+    each label to the label one step ahead, for both steps, then follows
+    labels to their labels, until nothing changes: labels then never rise
+    along a step, so they are constant on each class, and the least index
+    keeps its own."""
     q, B, moves = space.modulus.q, len(G), _group_moves(space.n)
     images = _standard_forms(space, np.concatenate([G[:, :, perm] * sign for perm, sign in moves]))
     own, images = (k.astype(np.min_scalar_type(q - 1), order="C").reshape(len(k), -1)
@@ -683,10 +720,31 @@ def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
     The input must be closed under the group, as the optimal or attaining
     codes of a whole space are: its classes are then the components of
     _orbit_labels, and a LinearCode is built for each component's least
-    index only.  The standard-form keys are exact for every modulus."""
-    m, n, B = space.modulus, space.n, len(G)
-    roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B)) if B > 1 else range(B)
-    return [LinearCode.from_generator(m, G[i].tolist(), n=n) for i in roots]
+    index only, by _standard_codes straight from its standard generator.
+    The standard-form keys are exact for every modulus."""
+    B = len(G)
+    roots = np.flatnonzero(_orbit_labels(space, G) == np.arange(B)) if B > 1 else slice(None)
+    return _standard_codes(space, G[roots])
+
+
+def _standard_codes(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
+    """The LinearCode of each standard generator of G (B, K, n), as the scan
+    emits them, with no second row reduction: a standard generator is its
+    own reduced form, so it gives both the rows and the given rows, and row
+    t pivots at its first entry of valuation v_t, the valuation the subtype
+    fixes for it, as in _standard_forms.  Nothing here checks the form: a
+    generator that is not standard gets rows that are not reduced, and only
+    the orbit walk, on two codes or more, refuses one."""
+    if not len(G):   # most sweep targets keep no code in a space
+        return []
+    m, n, valuations = space.modulus, space.n, _pivot_valuations(space)
+    above = m.p ** (np.array(valuations, dtype=np.int64) + 1)   # p^(v_t + 1) per row
+    cols = (G % above[:, None] != 0).argmax(axis=2)
+    codes = []
+    for g, c in zip(G.tolist(), cols.tolist()):
+        rows = tuple(map(tuple, g))
+        codes.append(LinearCode(m, n, rows, tuple(zip(c, valuations)), rows))
+    return codes
 
 
 # -- socle MDS -----------------------------------------------------------------

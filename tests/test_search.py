@@ -536,6 +536,13 @@ def test_group_moves_generate_the_signed_permutation_group(n):
         frontier = np.array(sorted(images - seen), dtype=np.int64).reshape(-1, n)
         seen |= images
     assert len(seen) == math.factorial(n) * 2**n
+    # the moves are built once per length and shared, so they are read-only
+    again = search._group_moves(n)
+    assert all(a is b for move, same in zip(moves, again) for a, b in zip(move, same))
+    for move in moves:
+        for array in move:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def test_orbit_walk_refuses_a_generator_not_in_standard_form():
@@ -607,15 +614,17 @@ def _scan_generators(space):
 
 def _row_mixes(rng, q, K, count):
     """`count` random invertible K x K matrices over Z/q: a permutation times
-    a unit diagonal times unitriangular lower and upper factors."""
-    U = np.empty((count, K, K), dtype=np.int64)
-    units = [u for u in range(1, q) if math.gcd(u, q) == 1]
-    for A in U:
-        lower = np.tril(rng.integers(0, q, (K, K)), -1) + np.eye(K, dtype=np.int64)
-        upper = np.triu(rng.integers(0, q, (K, K)), 1) + np.eye(K, dtype=np.int64)
-        diag = np.diag(rng.choice(units, K))
-        A[:] = (diag @ lower % q @ upper % q)[rng.permutation(K)]
-    return U
+    a unit diagonal times unitriangular lower and upper factors, drawn as
+    one batch.  Entries stay below q <= 2^16, so each product of two factors
+    sums K terms below 2^32."""
+    units = np.array([u for u in range(1, q) if math.gcd(u, q) == 1], dtype=np.int64)
+    eye = np.eye(K, dtype=np.int64)
+    lower = np.tril(rng.integers(0, q, (count, K, K)), -1) + eye
+    upper = np.triu(rng.integers(0, q, (count, K, K)), 1) + eye
+    diag = rng.choice(units, (count, K, 1))
+    U = diag * lower % q @ upper % q
+    rows = rng.permuted(np.tile(np.arange(K), (count, 1)), axis=1)
+    return U[np.arange(count)[:, None], rows]
 
 
 def test_standard_forms_fix_every_scan_generator():
@@ -625,6 +634,38 @@ def test_standard_forms_fix_every_scan_generator():
         assert np.array_equal(search._standard_forms(space, G), G), space
         total += len(G)
     assert total == sum(space.candidate_count() for space in _FORM_SPACES) == 80_825
+
+
+def test_standard_codes_match_a_second_reduction():
+    # a scan generator is its own reduced form, so building its code from it
+    # directly gives what a second row reduction gives
+    total = 0
+    for space in _FORM_SPACES:
+        m, n = space.modulus, space.n
+        G = _scan_generators(space)
+        for code, g in zip(search._standard_codes(space, G), G, strict=True):
+            expected = LinearCode.from_generator(m, g.tolist(), n=n)
+            assert (code.rows, code.pivots, code.given_rows) \
+                == (expected.rows, expected.pivots, expected.given_rows), (space, g)
+        total += len(G)
+    assert total == 80_825
+
+
+def test_unit_inverses_match_pow():
+    # every unit of each modulus of _FORM_SPACES with fewer than 2^30 units
+    for m in sorted({space.modulus for space in _FORM_SPACES if space.modulus.q < 2**31},
+                    key=lambda m: m.q):
+        units = np.array([u for u in range(1, m.q) if u % m.p], dtype=np.int64)
+        assert search._unit_inverses(m, units).tolist() \
+            == [pow(u, -1, m.q) for u in units.tolist()], m
+    # seeded random units where the products come close to 2^62
+    rng = np.random.default_rng(13)
+    for m in (Modulus(2, 31), Modulus(2**31 - 1, 1), Modulus(3, 19)):
+        units = rng.integers(1, m.q, 20_000)
+        units = units[units % m.p != 0][:10_000]
+        assert len(units) == 10_000
+        assert search._unit_inverses(m, units).tolist() \
+            == [pow(u, -1, m.q) for u in units.tolist()], m
 
 
 def test_standard_forms_are_canonical_under_row_mixes():
