@@ -7,7 +7,9 @@ ceiling-form extra) lists and the number of codes examined.
     python scripts/characterize_sweep.py --n-max 5
 
 Each check scans every space of the five rings once; at n = 5 that is about
-ten million codes per check (see README, "Characterization sweep at n = 5")."""
+ten million codes per check (see README, "Characterization sweep at n = 5").
+A failure prints one `error:` line, as the leecodes CLI does: exit 2 for a
+budget refusal (BudgetError), exit 1 for a refused input (ValueError)."""
 
 import argparse
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from leecodes.codes import BudgetError
 from leecodes.ring import Modulus
 from leecodes.search import check_characterization
 
@@ -31,9 +34,16 @@ def main(argv=None) -> int:
     if args.n_max < 1:
         parser.error("--n-max must be at least 1")
     doc = {}
-    for theorem in THEOREMS:
-        report = check_characterization(theorem, RINGS, args.n_max)
-        doc[theorem] = {key: report[key] for key in KEYS if key in report}
+    try:
+        for theorem in THEOREMS:
+            report = check_characterization(theorem, RINGS, args.n_max)
+            doc[theorem] = {key: report[key] for key in KEYS if key in report}
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(doc, indent=2))
     return 0
 

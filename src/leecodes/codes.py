@@ -216,11 +216,6 @@ class LinearCode:
             n = len(given[0])
         if any(len(r) != n for r in given):
             raise ValueError("generator rows disagree with the code length")
-        return cls._from_residues(modulus, given, n)
-
-    @classmethod
-    def _from_residues(cls, modulus: Modulus, given, n: int) -> "LinearCode":
-        """The row span of `given`: rows of length n with entries in [0, q)."""
         reduced, pivots = _row_reduce(modulus, [list(r) for r in given])
         return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given)
 
@@ -445,28 +440,24 @@ class LinearCode:
         for (c, v), row in zip(reversed(self.pivots), reversed(self.rows)):
             pv = p**v
             steps.append((c, q // pv, [(j, e // pv) for j, e in enumerate(row) if e and j != c]))
-
-        def solve(x: list[int], start: int = 0) -> list[int]:
-            # fill pivot coordinates from steps[start] upwards; x is zero at
-            # every pivot column not yet filled
+        # (c, x_c, first step): one generator per free coordinate, x_c = 1, and
+        # per pivot of valuation v >= 1, x_c = q/p^v with deeper pivots 0; the
+        # steps fill its pivot coordinates, each zero until filled
+        starts = [(c, 1, 0) for c in range(n) if c not in pivot_set]
+        starts += [(c, order, len(steps) - t)
+                   for t, (c, order, _) in enumerate(reversed(steps)) if order < q]
+        gens: list[list[int]] = []
+        for c0, e0, start in starts:
+            x = [0] * n
+            x[c0] = e0
             for c, order, terms in steps[start:]:
                 x[c] = -sum([f * x[j] for j, f in terms]) % order
-            return x
-
-        gens: list[list[int]] = []
-        for c in range(n):
-            if c not in pivot_set:
-                x = [0] * n
-                x[c] = 1
-                gens.append(solve(x))
-        for t, (c, order, _) in enumerate(reversed(steps)):
-            if order < q:  # pivot t has valuation v >= 1: x_c = q/p^v, deeper pivots 0
-                x = [0] * n
-                x[c] = order
-                gens.append(solve(x, len(steps) - t))
+            gens.append(x)
         if not gens:
             gens = [[0] * n]
-        return LinearCode._from_residues(m, tuple(map(tuple, gens)), n)
+        given = tuple(map(tuple, gens))
+        reduced, pivots = _row_reduce(m, gens)
+        return LinearCode(m, n, tuple(map(tuple, reduced)), tuple(pivots), given)
 
     # -- equidistance and replication ----------------------------------------
 

@@ -170,7 +170,13 @@ def predict_generator_subtypes(spec: EquidistantSpec) -> tuple[tuple[int, ...], 
 def catalog_mld(m: Modulus, n: int) -> list[LinearCode]:
     """The named witnesses of the Lee-metric Singleton-type bounds valid for
     (p, s, n): <(1,2)> over Z/5 at n = 2; <(2^(s-1), ..., 2^(s-1))> over any
-    Z/2^s; over Z/4 additionally the dual of <(2, ..., 2)>."""
+    Z/2^s; over Z/4 additionally the dual of <(2, ..., 2)>.
+
+    This is the only list of them: the `shiromoto` and `rank_sb` checks of
+    search.check_characterization allow the attainers equivalent to one, and
+    `shiromoto` lists a witness that misses the strict type form as
+    missing; `z4_singleton` predicts these codes and the ambient space;
+    `leecodes construct mld` prints them."""
     out: list[LinearCode] = []
     if m.q == 5 and n == 2:
         out.append(LinearCode.from_generator(m, [[1, 2]]))

@@ -48,6 +48,7 @@ import numpy as np
 from .bounds import CodeParams, _cell_fields, _in_range, type_form_max_d
 from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
+from .constructions import catalog_mld
 from .ring import Modulus
 
 CENSUS_BUDGET = 10**8
@@ -525,17 +526,22 @@ def _sorted_columns(gens: np.ndarray, q: int) -> np.ndarray:
 def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Equivalence under coordinate permutations composed with sign flips.
 
-    Codes with different invariant keys are never equivalent.  Otherwise they
-    are equivalent iff some tuple of codewords of `b`, each with the profile
-    of the matching reduced generator row of `a`, has the same sorted
-    sign-canonical columns as those rows and generates all of `b`.  The
-    tuples are walked in chunks; more than EQUIVALENCE_CAP of them raise
-    BudgetError.
+    Codes that differ in modulus, length, subtype (so in cardinality) or
+    support subtype are rejected before any codeword is listed, and equal
+    codes are accepted.  Codes with different invariant keys are never
+    equivalent.  Otherwise they are equivalent iff some tuple of codewords
+    of `b`, each with the profile of the matching reduced generator row of
+    `a`, has the same sorted sign-canonical columns as those rows and
+    generates all of `b`.  The tuples are walked in chunks; more than
+    EQUIVALENCE_CAP of them raise BudgetError.
     """
-    if a.invariant_key != b.invariant_key:
+    if (a.modulus, a.n, a.subtype, a.support_subtype()) != \
+            (b.modulus, b.n, b.subtype, b.support_subtype()):
         return False
     if a == b:
         return True
+    if a.invariant_key != b.invariant_key:
+        return False
     m = a.modulus
     rows = np.array(a.rows, dtype=np.int64)
     words = b.codeword_array()
@@ -801,17 +807,15 @@ def _verdict(extra, missing=()) -> str:
     return "EXTRA" if extra else ("MISSING" if missing else "EQUAL")
 
 
-def _repetition_code(m: Modulus, n: int) -> LinearCode:
-    return LinearCode.from_generator(m, [[m.q // 2] * n])
+def _catalogs(rings, n_max: int) -> dict:
+    """The named witnesses, catalog_mld, of each ring at each length 1..n_max."""
+    return {(m, n): catalog_mld(m, n) for m in rings for n in range(1, n_max + 1)}
 
 
-_Z5_WITNESS = LinearCode.from_generator(Modulus(5, 1), [[1, 2]])
-
-
-def _is_z5_witness(c: LinearCode) -> bool:
-    """Whether c is <(1,2)> over Z/5 up to signed permutation, the one code
-    over an odd modulus that the Shiromoto and rank-SB families name."""
-    return c.modulus.q == 5 and c.n == 2 and signed_perm_equivalent(c, _Z5_WITNESS)
+def _named(catalogs: dict, c: LinearCode) -> bool:
+    """Whether c is a named witness of its ring and length up to signed
+    permutation."""
+    return any(signed_perm_equivalent(c, w) for w in catalogs[c.modulus, c.n])
 
 
 def _check_shiromoto(rings, n_max, budget) -> dict:
@@ -822,13 +826,16 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     attainers once M >= 3 (socle repetition codes such as <(3,3)> over Z/9,
     whose minimal-weight words carry no entry of weight M); those fall
     outside the claimed family and are reported separately in
-    `ceiling_form_extras` rather than as violations.
+    `ceiling_form_extras` rather than as violations.  The family is the
+    ambient and full-ceiling-rank codes, the rank-(n-1) codes of d_L = q
+    over p = 2, and the named witnesses of catalog_mld, each of which must
+    itself attain the strict form or is listed as missing.
     """
     extra: list[str] = []
-    missing: list[str] = []
     ceiling_extras: list[str] = []
     examined = 0
     space_max: list[dict] = []
+    catalogs = _catalogs(rings, n_max)
 
     def targets(space):
         params = space.params
@@ -847,14 +854,9 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             # full-ceiling-rank class; the socle is the whole of <p^(s-1)>,
             # so d_L <= p^(s-1) automatically
             return True
-        if _is_z5_witness(c):
+        if m.p == 2 and c.type_k != K and K == ck == c.n - 1 and c.min_lee_distance() == m.q:
             return True
-        if m.p == 2:
-            if c == _repetition_code(m, c.n):
-                return True
-            if c.type_k != K and K == ck == c.n - 1:
-                return c.min_lee_distance() == m.q
-        return False
+        return _named(catalogs, c)
 
     for space, hits, count, top in _sweep(rings, n_max, budget, targets):
         m = space.modulus
@@ -865,17 +867,9 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             if name in hits:
                 found.extend(f"{space}: {list(c.rows)}"
                              for c in _dedup_generators(space, hits[name]) if not allowed(c))
-    # the named witnesses must themselves attain the strict form
-    def strictly_attains(c: LinearCode) -> bool:
-        return c.min_lee_distance() >= type_form_max_d(CodeParams.from_code(c))
-
-    for m in rings:
-        if m.q == 5 and n_max >= 2 and not strictly_attains(_Z5_WITNESS):
-            missing.append("Z/5 witness <(1,2)>")
-        if m.p == 2:
-            for n in range(2, n_max + 1):
-                if not strictly_attains(_repetition_code(m, n)):
-                    missing.append(f"{m} repetition witness at n={n}")
+    missing = [f"{m}, n={n}: {list(w.rows)}" for (m, n), witnesses in catalogs.items()
+               for w in witnesses
+               if w.min_lee_distance() < type_form_max_d(CodeParams.from_code(w))]
     return {"theorem": "shiromoto", "verdict": _verdict(extra, missing), "extra": extra,
             "missing": missing, "ceiling_form_extras": ceiling_extras,
             "examined": examined, "space_max": space_max}
@@ -891,13 +885,11 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
         found: dict[int, list[LinearCode]] = {n: [] for n in range(1, n_max + 1)}
         for space, hits, count, _ in _sweep([m], n_max, budget, _bound_target("z4_singleton")):
             examined += count
-            found[space.n].extend(LinearCode.from_generator(m, g.tolist(), n=space.n)
-                                  for g in hits["z4_singleton"])
+            found[space.n].extend(_standard_codes(space, hits["z4_singleton"]))
         for n, codes in found.items():
-            rep = _repetition_code(m, n)
             ambient = LinearCode.from_generator(
                 m, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n=n)
-            predicted = [rep, rep.dual(), ambient]
+            predicted = [*catalog_mld(m, n), ambient]
             extra.extend(f"n={n}: {list(c.rows)}" for c in codes
                          if not any(c == pc for pc in predicted))
             missing.extend(f"n={n}: {list(pc.rows)}" for pc in predicted
@@ -907,13 +899,15 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
 
 
 def _check_rank_sb(rings, n_max, budget) -> dict:
+    """Attainers of the rank form of the Shiromoto bound below full rank;
+    the family is the rank-(n-1) codes over p = 2 and the named witnesses
+    of catalog_mld."""
     extra: list[str] = []
     vacuous_failures = examined = 0
+    catalogs = _catalogs(rings, n_max)
 
     def allowed(c: LinearCode) -> bool:
-        if c.modulus.p != 2:
-            return _is_z5_witness(c)
-        return c == _repetition_code(c.modulus, c.n) or c.rank == c.n - 1
+        return (c.modulus.p == 2 and c.rank == c.n - 1) or _named(catalogs, c)
 
     for space, hits, count, _ in _sweep(rings, n_max, budget, _bound_target("shiromoto_rank")):
         examined += count

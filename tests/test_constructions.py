@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from leecodes.bounds import CodeParams, attainment_check, type_form_max_d
 from leecodes.codes import LinearCode
 from leecodes.constructions import (EquidistantSpec, catalog_mld,
                                     equidistant_rank1, equidistant_rank2,
@@ -205,3 +206,12 @@ def test_catalog_mld():
     assert any(c == rep.dual() for c in cat)
 
     assert catalog_mld(Z5, 3) == []
+
+    # the Shiromoto check lists a witness as missing unless it strictly
+    # attains the type form, and the rank-SB check allows the witnesses
+    # below full rank as rank-form attainers
+    for m in (Z4, Z8, Modulus(2, 4), Z5):
+        for n in range(1, 6):
+            for w in catalog_mld(m, n):
+                assert w.min_lee_distance() >= type_form_max_d(CodeParams.from_code(w)), (m, n)
+                assert w.rank == n or attainment_check(w, "shiromoto_rank"), (m, n)

@@ -1,9 +1,12 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from leecodes.codes import BudgetError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -39,3 +42,20 @@ def test_characterize_sweep_refuses_a_length_below_1(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "characterize_sweep.py"), "--n-max", "0"],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and "--n-max" in proc.stderr
+
+
+@pytest.mark.parametrize("exc, code", [(BudgetError("space over the budget"), 2),
+                                       (ValueError("space over the budget"), 1)])
+def test_characterize_sweep_turns_a_failure_into_one_error_line(monkeypatch, capsys, exc, code):
+    spec = importlib.util.spec_from_file_location("characterize_sweep",
+                                                  SCRIPTS / "characterize_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(script, "check_characterization", refuse)
+    assert script.main(["--n-max", "1"]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: space over the budget\n")

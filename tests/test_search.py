@@ -473,6 +473,22 @@ def test_signed_perm_equivalence():
     assert signed_perm_equivalent(a, d)
 
 
+def test_signed_perm_equivalence_decides_cheap_cases_without_codewords():
+    # 5^11 codewords, past the enumeration budget: codes of another length,
+    # subtype or support subtype are refused, and an equal code accepted,
+    # before any codeword is listed
+    big = LinearCode.from_generator(Z5, [[int(i == j) for j in range(12)] for i in range(11)])
+    with pytest.raises(BudgetError):
+        big.codeword_array()
+    spread = LinearCode.from_generator(Z5, [[int(i == j or j == 11) for j in range(12)]
+                                            for i in range(11)])
+    assert spread.subtype == big.subtype and spread.support_subtype() != big.support_subtype()
+    assert not signed_perm_equivalent(big, spread)
+    assert not signed_perm_equivalent(big, LinearCode.from_generator(Z5, big.rows[1:]))
+    assert not signed_perm_equivalent(big, LinearCode.from_generator(Z5, [[1] * 13]))
+    assert signed_perm_equivalent(big, LinearCode.from_generator(Z5, big.rows[::-1]))
+
+
 def test_equivalence_search_cap_raises_budget_error(monkeypatch):
     a = LinearCode.from_generator(Z9, [[1, 2, 3]])
     b = LinearCode.from_generator(Z9, [[6, 1, 2]])  # pool holds +-(6, 1, 2)
@@ -844,6 +860,32 @@ def test_characterization_shiromoto_z9_ceiling_form_extras():
     rep = check_characterization("shiromoto", [Z9], 3)
     assert rep["verdict"] == "EQUAL"   # strict original form: family is exact
     assert any("(3, 3)" in x for x in rep["ceiling_form_extras"])
+
+
+def test_characterizations_read_the_witness_catalog(monkeypatch):
+    # the Singleton-type checks name their witnesses through catalog_mld alone
+    catalog = search.catalog_mld
+    rep = check_characterization("shiromoto", [Z5], 2)
+    assert (rep["verdict"], rep["extra"], rep["missing"]) == ("EQUAL", [], [])
+    monkeypatch.setattr(search, "catalog_mld",
+                        lambda m, n: [c for c in catalog(m, n) if m != Z5])
+    witness = ["(Z/5, n=2, subtype=(1,)): [(1, 2)]"]
+    rep = check_characterization("shiromoto", [Z5], 2)
+    assert (rep["verdict"], rep["extra"], rep["missing"]) == ("EXTRA", witness, [])
+    assert check_characterization("rank_sb", [Z5], 2)["extra"] == witness
+    # the Z/4 check predicts the catalog, so without the duals they are extras
+    monkeypatch.setattr(search, "catalog_mld", lambda m, n: catalog(m, n)[:1])
+    rep = check_characterization("z4_singleton", [Z4], 3)
+    extras = [entry.split(": ") for entry in rep["extra"]]
+    assert [n for n, _ in extras] == ["n=2", "n=3"]
+    assert [LinearCode.from_generator(Z4, ast.literal_eval(rows)) for _, rows in extras] == \
+        [catalog(Z4, n)[1] for n in (2, 3)]
+    assert rep["missing"] == []
+    # a witness that misses the strict type form is listed in the extras' format
+    weak = LinearCode.from_generator(Z5, [[1, 1]])
+    monkeypatch.setattr(search, "catalog_mld", lambda m, n: catalog(m, n) + [weak] * (n == 2))
+    rep = check_characterization("shiromoto", [Z5], 2)
+    assert (rep["verdict"], rep["missing"]) == ("MISSING", ["Z/5, n=2: [(1, 1)]"])
 
 
 @pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
