@@ -18,7 +18,7 @@ from .codes import BudgetError, LinearCode, format_code_text, parse_code_text
 from .constructions import (EquidistantSpec, catalog_mld, equidistant_rank1,
                             equidistant_rank2, predict_support_subtype)
 from .ring import Modulus
-from .search import SearchSpace, max_lee_distance_census
+from .search import CENSUS_BUDGET, SearchSpace, max_lee_distance_census
 
 
 def _fail(message: str, code: int = 1):
@@ -199,14 +199,14 @@ def construct_mld(p, s, n, index, out):
 @click.option("--n", type=int, required=True)
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
 @_with_k_options
-@click.option("--budget", type=int, default=None, help="code budget override")
+@click.option("--budget", type=int, default=CENSUS_BUDGET, show_default=True,
+              help="refuse (exit 2) a space of more codes than this")
 @_exit_codes
 def cmd_census(p, s, n, subtype, k1, k2, k3, k4, k5, budget):
     """Exhaustive max-d_L census over one (p, s, n, subtype) space."""
     m = Modulus(p, s)
     st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
-    kwargs = {"budget": budget} if budget is not None else {}
-    space = SearchSpace(m, n, st, **kwargs)
+    space = SearchSpace(m, n, st, budget)
     click.echo(max_lee_distance_census(space).to_json())
 
 

@@ -26,12 +26,16 @@ batched exact row reduction gives the keys of the codes' images under two
 generators of the signed-permutation group, each looked up among the codes'
 keys.  A key is K n entries, exact for every modulus.  The two moves are
 built once per length, and the reduction scales its pivot rows by unit
-inverses taken as powers, with no sort of the units.  Every predicate kept
-reads d_L only, so the kept set of a whole space is closed under the group
-and its orbit components are its classes.  Each class root is built from
-its standard generator as it stands, which is its own reduced form, so no
-root is reduced twice.  dedup_codes, the pairwise path, serves lists that
-need not be closed.
+inverses taken as powers, with no sort of the units.
+
+Every target that codes are kept by is an interval [lo, hi] of d_L: the
+attainment range of a Lee bound (_spans), Shiromoto's strict type form from
+its floor up to n M, the largest Lee weight of a word, or the census's
+running maximum.  The kept set of a whole space is then closed under the
+group, and its orbit components are its classes.  Each class root is built
+from its standard generator as it stands, which is its own reduced form, so
+no root is reduced twice.  dedup_codes, the pairwise path, serves lists
+that need not be closed.
 """
 
 from __future__ import annotations
@@ -427,6 +431,10 @@ def scan_space(space: SearchSpace):
 
 @dataclass
 class CensusResult:
+    """The census of one space: its largest d_L, one optimal code per
+    signed-permutation class, the number of codes examined, and per Lee bound
+    that applies to the space, the number of codes (not classes) attaining it."""
+
     space: SearchSpace
     max_d: int
     optimal_codes: list[LinearCode]
@@ -453,19 +461,11 @@ def _cells(space: SearchSpace):
     return _cell_fields(space.modulus, space.n, space.subtype)
 
 
-def _attainment_test(space: SearchSpace, bound_id: str):
-    """The attainment predicate of one Lee bound on an array of distances,
-    read from the cached bound cells; None for an unknown id, a Hamming
-    bound or a bound that does not apply."""
-    span = _cells(space).get(bound_id, (None,))[-1]
-    return None if span is None or span[0] else functools.partial(_in_range, *span[1:])
-
-
-def _stack(space: SearchSpace, blocks: list[np.ndarray]) -> np.ndarray:
-    """Generator blocks from the scan as one (B, K, n) tensor; B may be 0."""
-    if blocks:
-        return np.concatenate(blocks)
-    return np.zeros((0, space.rank, space.n), dtype=np.int64)
+def _spans(space: SearchSpace) -> dict[str, tuple[int, int]]:
+    """The attainment range (lo, hi) of d_L of every Lee bound that applies
+    to the space, per bound id in BOUNDS order, read from its cached cells."""
+    return {name: (lo, hi) for name, (_, _, _, _, span) in _cells(space).items()
+            if span is not None for hamming, lo, hi in [span] if not hamming}
 
 
 def max_lee_distance_census(space: SearchSpace) -> CensusResult:
@@ -477,8 +477,7 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
     lo and hi + 1 of every applicable Lee bound's attainment range [lo, hi]
     in one searchsorted, so a count is the difference of two running tallies.
     """
-    spans = {name: span[1:] for name, (*_, span) in _cells(space).items()
-             if span is not None and not span[0]}
+    spans = _spans(space)
     edges = np.array([(lo, hi + 1) for lo, hi in spans.values()], dtype=np.int64).reshape(-1)
     below = np.zeros(len(edges), dtype=np.int64)   # codes of d_L below each edge
     examined, max_d = 0, -1
@@ -492,19 +491,17 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
             best = []
         if top == max_d:
             best.append((G, d == max_d))
-    codes = _dedup_generators(space, _stack(space, [G[keep] for G, keep in best]))
+    codes = _dedup_generators(space, np.concatenate([G[keep] for G, keep in best]))
     counts = dict(zip(spans, (below[1::2] - below[::2]).tolist()))
     return CensusResult(space, max_d, codes, examined, counts)
 
 
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     """All codes of the space attaining the Lee bound, one representative per
-    signed-permutation equivalence class."""
-    test = _attainment_test(space, bound_id)
-    if test is None:
-        raise ValueError(f"bound {bound_id!r} not applicable to {space}")
-    hits = [G[test(d)] for G, d in scan_space(space)]
-    return _dedup_generators(space, _stack(space, hits))
+    signed-permutation equivalence class, in generator order."""
+    for _, G, _ in _attainers([space], bound_id):
+        return _dedup_generators(space, G)
+    raise ValueError(f"bound {bound_id!r} not applicable to {space}")
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -771,36 +768,41 @@ def all_subtypes(m: Modulus, n: int):
             yield combo
 
 
-def _sweep(rings, n_max: int, budget: int, targets):
-    """Scan every space of every ring, n = 1..n_max and each subtype of
-    all_subtypes, in that order, once each.
-
-    `targets(space)` names predicates on arrays of d_L, or is None to skip
-    the space.  Yields (space, {name: (B, K, n) hits}, examined, max_d)."""
-    for m in rings:
-        for n in range(1, n_max + 1):
-            for subtype in all_subtypes(m, n):
-                space = SearchSpace(m, n, subtype, budget)
-                tests = targets(space)
-                if tests is None:
-                    continue
-                hits = {name: [] for name in tests}
-                examined = max_d = 0
-                for G, d in scan_space(space):
-                    examined += len(d)
-                    max_d = max(max_d, int(d.max()))
-                    for name, test in tests.items():
-                        hits[name].append(G[test(d)])
-                yield (space, {name: _stack(space, h) for name, h in hits.items()},
-                       examined, max_d)
+def _spaces(rings, n_max: int, budget: int):
+    """Every space of every ring, n = 1..n_max and each subtype of
+    all_subtypes, in that order."""
+    return (SearchSpace(m, n, subtype, budget)
+            for m in rings for n in range(1, n_max + 1) for subtype in all_subtypes(m, n))
 
 
-def _bound_target(bound_id: str):
-    """Sweep targets: the attainers of one bound, where it applies."""
+def _sweep(spaces, targets):
+    """Scan each of `spaces` once, in order.  `targets(space)` maps names to
+    intervals (lo, hi) of d_L, or is None to skip the space.  Yields (space,
+    {name: (B, K, n) generators of the codes with lo <= d_L <= hi}, examined,
+    max_d)."""
+    for space in spaces:
+        spans = targets(space)
+        if spans is None:
+            continue
+        hits = {name: [] for name in spans}
+        examined = max_d = 0
+        for G, d in scan_space(space):
+            examined += len(d)
+            max_d = max(max_d, int(d.max()))
+            for name, (lo, hi) in spans.items():
+                hits[name].append(G[_in_range(lo, hi, d)])
+        yield space, {name: np.concatenate(h) for name, h in hits.items()}, examined, max_d
+
+
+def _attainers(spaces, bound_id: str):
+    """The sweep of `spaces` for the attainers of one Lee bound, skipping the
+    spaces where it does not apply: yields (space, (B, K, n) generators of
+    its attainers, codes examined)."""
     def targets(space):
-        test = _attainment_test(space, bound_id)
-        return None if test is None else {bound_id: test}
-    return targets
+        span = _spans(space).get(bound_id)
+        return None if span is None else {bound_id: span}
+    for space, hits, count, _ in _sweep(spaces, targets):
+        yield space, hits[bound_id], count
 
 
 def _verdict(extra, missing=()) -> str:
@@ -838,12 +840,13 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     catalogs = _catalogs(rings, n_max)
 
     def targets(space):
+        # the strict target runs up to n M, the largest Lee weight of a word,
+        # so it also keeps a code that broke the bound
         params = space.params
-        strict_min = type_form_max_d(params)
-        tests = {"strict": lambda d: d >= strict_min}
+        spans = {"strict": (type_form_max_d(params), params.n * params.modulus.M)}
         if params.ceil_k < params.n:
-            tests["ceiling"] = _attainment_test(space, "shiromoto")
-        return tests
+            spans["ceiling"] = _spans(space)["shiromoto"]
+        return spans
 
     def allowed(c: LinearCode) -> bool:
         m = c.modulus
@@ -858,7 +861,7 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             return True
         return _named(catalogs, c)
 
-    for space, hits, count, top in _sweep(rings, n_max, budget, targets):
+    for space, hits, count, top in _sweep(_spaces(rings, n_max, budget), targets):
         m = space.modulus
         examined += count
         space_max.append({"p": m.p, "s": m.s, "n": space.n,
@@ -876,6 +879,11 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
 
 
 def _check_z4_singleton(rings, n_max, budget) -> dict:
+    """Attainers of the Z/4 Singleton-type bound over each Z/4 of `rings`
+    (other rings are skipped).  The family is exactly the named witnesses of
+    catalog_mld plus the ambient space at each length, compared as codes (by
+    equality, not up to equivalence): an attainer outside it is extra, and a
+    member no attainer equals is missing."""
     extra: list[str] = []
     missing: list[str] = []
     examined = 0
@@ -883,9 +891,9 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
         if (m.p, m.s) != (2, 2):
             continue
         found: dict[int, list[LinearCode]] = {n: [] for n in range(1, n_max + 1)}
-        for space, hits, count, _ in _sweep([m], n_max, budget, _bound_target("z4_singleton")):
+        for space, G, count in _attainers(_spaces([m], n_max, budget), "z4_singleton"):
             examined += count
-            found[space.n].extend(_standard_codes(space, hits["z4_singleton"]))
+            found[space.n].extend(_standard_codes(space, G))
         for n, codes in found.items():
             ambient = LinearCode.from_generator(
                 m, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n=n)
@@ -909,9 +917,8 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
     def allowed(c: LinearCode) -> bool:
         return (c.modulus.p == 2 and c.rank == c.n - 1) or _named(catalogs, c)
 
-    for space, hits, count, _ in _sweep(rings, n_max, budget, _bound_target("shiromoto_rank")):
+    for space, G, count in _attainers(_spaces(rings, n_max, budget), "shiromoto_rank"):
         examined += count
-        G = hits["shiromoto_rank"]
         if space.rank == space.n:
             vacuous_failures += count - len(G)
             continue
@@ -923,6 +930,13 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
 
 
 def _check_alderson(rings, n_max, budget) -> dict:
+    """Spaces holding attainers of the Alderson-Huntemann bound M(n - k), for
+    integer type 1 < k < n.  The predicted spaces are hard-coded per ring:
+    Z/5 with k + 1 <= n <= k + 3, free codes over Z/7 and Z/9 with n = k + 1,
+    free codes over Z/4 with k + 1 <= n <= k + 2 and over Z/8 with n = k + 1,
+    and over any Z/2^s the codes of rank K = k + 1 with K in {n, n - 1}.
+    Every attainer over any other ring is extra, save, over Z/2^s, the codes
+    of that last family."""
     extra: list[str] = []
     examined = 0
 
@@ -936,10 +950,8 @@ def _check_alderson(rings, n_max, budget) -> dict:
                (free and m.s == 3 and n == k + 1) or \
                (k + 1 == K and K in (n, n - 1))
 
-    for space, hits, count, _ in _sweep(rings, n_max, budget,
-                                        _bound_target("alderson_huntemann")):
+    for space, G, count in _attainers(_spaces(rings, n_max, budget), "alderson_huntemann"):
         examined += count
-        G = hits["alderson_huntemann"]
         if len(G) and not predicted(space.params):
             extra.extend(f"{space}: {list(c.rows)}" for c in _dedup_generators(space, G))
     return {"theorem": "alderson_huntemann", "verdict": _verdict(extra), "extra": extra,
@@ -954,16 +966,18 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     examined = attainers = 0
 
     def targets(space):
-        if _cells(space)["rank_plotkin"][0].denominator != 1:
-            return None  # an integer distance can never meet it exactly
-        return {"rank_plotkin": _attainment_test(space, "rank_plotkin")}
+        value, *_ = _cells(space)["rank_plotkin"]
+        # an integer distance can never meet a fractional value exactly
+        return {"rank_plotkin": _spans(space)["rank_plotkin"]} if value.denominator == 1 else None
 
-    for space, hits, count, _ in _sweep([m for m in rings if m.p != 2], n_max, budget, targets):
+    odd = [m for m in rings if m.p != 2]
+    for space, hits, count, _ in _sweep(_spaces(odd, n_max, budget), targets):
         examined += count
         attainers += len(hits["rank_plotkin"])
         n, K, p = space.n, space.rank, space.modulus.p
         if len(hits["rank_plotkin"]) and not (n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)):
-            extra.append(f"{space}: d={_cells(space)['rank_plotkin'][1]}")
+            _, floored, *_ = _cells(space)["rank_plotkin"]
+            extra.append(f"{space}: d={floored}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,
             "examined": examined, "attainers": attainers}
 

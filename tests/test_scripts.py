@@ -9,6 +9,7 @@ import pytest
 from leecodes.codes import BudgetError
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.mark.parametrize("script", ["reproduce_figures.py", "reproduce_table1.py",
@@ -36,6 +37,15 @@ def test_characterize_sweep_prints_the_verdicts(tmp_path):
         "alderson_huntemann": 0, "plotkin_rank": 40}
     socle = ["(Z/3^2, n=2, subtype=(0, 1)): [(3, 3)]"]
     assert doc["rank_sb"]["extra"] == doc["shiromoto"]["ceiling_form_extras"] == socle
+
+
+def test_characterize_sweep_at_n4_matches_the_stored_output(tmp_path):
+    # the whole --n-max 4 document: verdicts, every extra, missing and
+    # ceiling-form entry, and the codes examined per theorem
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "characterize_sweep.py"), "--n-max", "4"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == json.loads((DATA / "characterize_sweep_n4.json").read_text())
 
 
 def test_characterize_sweep_refuses_a_length_below_1(tmp_path):

@@ -410,8 +410,10 @@ def test_census_attainment_counts():
 
 
 def test_census_counts_agree_with_per_code_attainment():
-    # the vectorised census counts against the scalar attainment_check
+    # the vectorised census counts and attainers against the scalar
+    # attainment_check, code by code, and the pairwise dedup_codes
     lee_bounds = set(BOUND_IDS) - {"singleton_hamming", "singleton_rank"}
+    pairs = 0
     for m in (Z4, Z5, Z7, Z8, Z9):
         for n in (1, 2, 3):
             for subtype in all_subtypes(m, n):
@@ -422,8 +424,14 @@ def test_census_counts_agree_with_per_code_attainment():
                 assert set(counts) == applicable, (m, n, subtype)
                 codes = list(enumerate_codes(space))
                 for name in applicable:
-                    assert counts[name] == sum(attainment_check(c, name) for c in codes), \
-                        (m, n, subtype, name)
+                    attaining = [c for c in codes if attainment_check(c, name)]
+                    assert counts[name] == len(attaining), (m, n, subtype, name)
+                    found = find_attaining_codes(space, name)
+                    expected = dedup_codes(attaining)
+                    assert found == expected, (m, n, subtype, name)
+                    assert [c.rows for c in found] == [c.rows for c in expected]
+                    pairs += 1
+    assert pairs == 462
 
 
 def test_find_attaining_codes():
@@ -901,6 +909,27 @@ def test_characterization_scans_each_space_once(monkeypatch, theorem):
     monkeypatch.setattr(search, "scan_space", counted)
     check_characterization(theorem, [Z4, Z5, Z9], 3)
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
+                                     "alderson_huntemann", "plotkin_rank"])
+def test_characterizations_match_across_many_chunks(monkeypatch, theorem):
+    # with one code per chunk, the sweep keeps and joins each target's codes
+    # over as many chunks as codes (683 for shiromoto)
+    whole = check_characterization(theorem, [Z4, Z5, Z9], 3)
+    chunks = 0
+    scan = search.scan_space
+
+    def counted(space):
+        nonlocal chunks
+        for chunk in scan(space):
+            chunks += 1
+            yield chunk
+
+    monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", 1)
+    monkeypatch.setattr(search, "scan_space", counted)
+    assert check_characterization(theorem, [Z4, Z5, Z9], 3) == whole
+    assert chunks == whole["examined"]
 
 
 def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkeypatch):

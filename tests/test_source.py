@@ -18,20 +18,27 @@ def test_library_code_has_no_assert_statements():
     assert not found, found
 
 
+# names that make or hold a float: the float type (float(...), astype(float)),
+# numpy's float dtypes, infinities and NaNs, and the true divisions and means
+FLOAT_NAMES = {"float", "float16", "float32", "float64", "inf", "nan",
+               "mean", "true_divide", "divide"}
+
+
 def test_library_code_has_no_floating_point():
-    # every computation is exact; docstrings may still mention floats
+    # every computation is exact: no float literal, no true division (/ or /=)
+    # and no name of FLOAT_NAMES; docstrings may still mention floats
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             name = node.attr if isinstance(node, ast.Attribute) else \
                 node.id if isinstance(node, ast.Name) else None
-            if name in ("float16", "float32", "float64"):
+            if name in FLOAT_NAMES:
                 found.append(f"{path.name}:{node.lineno}: {name}")
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "astype"
-                    and any(isinstance(a, ast.Name) and a.id == "float" for a in node.args)):
-                found.append(f"{path.name}:{node.lineno}: astype(float)")
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}: /")
     assert not found, found
 
 
