@@ -172,11 +172,14 @@ def catalog_mld(m: Modulus, n: int) -> list[LinearCode]:
     (p, s, n): <(1,2)> over Z/5 at n = 2; <(2^(s-1), ..., 2^(s-1))> over any
     Z/2^s; over Z/4 additionally the dual of <(2, ..., 2)>.
 
-    This is the only list of them: the `shiromoto` and `rank_sb` checks of
-    search.check_characterization allow the attainers equivalent to one, and
-    `shiromoto` lists a witness that misses the strict type form as
-    missing; `z4_singleton` predicts these codes and the ambient space;
-    `leecodes construct mld` prints them."""
+    This is the only list of them.  The `shiromoto`, `rank_sb` and
+    `z4_singleton` checks of search.check_characterization allow the
+    attainer classes of one of them, besides the spaces each allows whole;
+    `shiromoto` and `z4_singleton` list a witness that misses their bound
+    as missing; `leecodes construct mld` prints them.  A length below 1
+    raises ValueError."""
+    if n < 1:
+        raise ValueError(f"the code length n = {n} is below 1")
     out: list[LinearCode] = []
     if m.q == 5 and n == 2:
         out.append(LinearCode.from_generator(m, [[1, 2]]))

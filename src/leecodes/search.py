@@ -31,11 +31,14 @@ inverses taken as powers, with no sort of the units.
 Every target that codes are kept by is an interval [lo, hi] of d_L: the
 attainment range of a Lee bound (_spans), Shiromoto's strict type form from
 its floor up to n M, the largest Lee weight of a word, or the census's
-running maximum.  The kept set of a whole space is then closed under the
-group, and its orbit components are its classes.  Each class root is built
-from its standard generator as it stands, which is its own reduced form, so
-no root is reduced twice.  dedup_codes, the pairwise path, serves lists
-that need not be closed.
+running maximum.  A characterization's predicted family is a filter on its
+target plus the named witnesses of catalog_mld: a space the theorem allows
+whole is scanned and counted but keeps no code, and each class kept
+elsewhere is compared with the witnesses.  The kept set of a whole space is
+closed under the group, and its orbit components are its classes.  Each
+class root is built from its standard generator as it stands, which is its
+own reduced form, so no root is reduced twice.  dedup_codes, the pairwise
+path, serves lists that need not be closed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import CodeParams, _cell_fields, _in_range, type_form_max_d
+from .bounds import CodeParams, _cell_fields, _in_range, attainment_check, type_form_max_d
 from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
 from .constructions import catalog_mld
@@ -499,8 +502,8 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     """All codes of the space attaining the Lee bound, one representative per
     signed-permutation equivalence class, in generator order."""
-    for _, G, _ in _attainers([space], bound_id):
-        return _dedup_generators(space, G)
+    for _, hits, _, _ in _sweep([space], _bound_targets(bound_id)):
+        return _dedup_generators(space, hits[bound_id])
     raise ValueError(f"bound {bound_id!r} not applicable to {space}")
 
 
@@ -794,15 +797,15 @@ def _sweep(spaces, targets):
         yield space, {name: np.concatenate(h) for name, h in hits.items()}, examined, max_d
 
 
-def _attainers(spaces, bound_id: str):
-    """The sweep of `spaces` for the attainers of one Lee bound, skipping the
-    spaces where it does not apply: yields (space, (B, K, n) generators of
-    its attainers, codes examined)."""
+def _bound_targets(bound_id: str, allowed=lambda space: False):
+    """The sweep targets of one Lee bound: None where it does not apply (the
+    space is skipped), {} where `allowed(space)` holds (the space is scanned
+    and counted, but the theorem allows all of it, so no code is kept), and
+    {bound_id: its attainment range} otherwise."""
     def targets(space):
         span = _spans(space).get(bound_id)
-        return None if span is None else {bound_id: span}
-    for space, hits, count, _ in _sweep(spaces, targets):
-        yield space, hits[bound_id], count
+        return None if span is None else {} if allowed(space) else {bound_id: span}
+    return targets
 
 
 def _verdict(extra, missing=()) -> str:
@@ -829,9 +832,11 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     whose minimal-weight words carry no entry of weight M); those fall
     outside the claimed family and are reported separately in
     `ceiling_form_extras` rather than as violations.  The family is the
-    ambient and full-ceiling-rank codes, the rank-(n-1) codes of d_L = q
-    over p = 2, and the named witnesses of catalog_mld, each of which must
-    itself attain the strict form or is listed as missing.
+    ambient and full-ceiling-rank codes, which are the whole of the spaces
+    of ceil(k) = n (that forces K = n), the rank-(n-1) codes of d_L = q over
+    p = 2, and the named witnesses of catalog_mld, each of which must itself
+    attain the strict form or is listed as missing.  A space of ceil(k) = n
+    is scanned and counted but keeps no code.
     """
     extra: list[str] = []
     ceiling_extras: list[str] = []
@@ -840,36 +845,28 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     catalogs = _catalogs(rings, n_max)
 
     def targets(space):
+        params = space.params
+        if params.ceil_k == params.n:
+            return {}
         # the strict target runs up to n M, the largest Lee weight of a word,
         # so it also keeps a code that broke the bound
-        params = space.params
-        spans = {"strict": (type_form_max_d(params), params.n * params.modulus.M)}
-        if params.ceil_k < params.n:
-            spans["ceiling"] = _spans(space)["shiromoto"]
-        return spans
+        return {"strict": (type_form_max_d(params), params.n * params.modulus.M),
+                "ceiling": _spans(space)["shiromoto"]}
 
     def allowed(c: LinearCode) -> bool:
-        m = c.modulus
-        if c.type_k == c.n:
-            return True  # ambient space, the trivial attainer
-        ck, K = math.ceil(c.type_k), c.rank
-        if c.type_k != K and K == ck == c.n:
-            # full-ceiling-rank class; the socle is the whole of <p^(s-1)>,
-            # so d_L <= p^(s-1) automatically
-            return True
-        if m.p == 2 and c.type_k != K and K == ck == c.n - 1 and c.min_lee_distance() == m.q:
-            return True
-        return _named(catalogs, c)
+        m, K = c.modulus, c.rank
+        return (m.p == 2 and c.type_k != K and K == math.ceil(c.type_k) == c.n - 1
+                and c.min_lee_distance() == m.q) or _named(catalogs, c)
 
     for space, hits, count, top in _sweep(_spaces(rings, n_max, budget), targets):
         m = space.modulus
         examined += count
         space_max.append({"p": m.p, "s": m.s, "n": space.n,
                           "subtype": space.subtype, "max_d": top})
-        for name, found in (("strict", extra), ("ceiling", ceiling_extras)):
-            if name in hits:
-                found.extend(f"{space}: {list(c.rows)}"
-                             for c in _dedup_generators(space, hits[name]) if not allowed(c))
+        for name, G in hits.items():
+            found = extra if name == "strict" else ceiling_extras
+            found.extend(f"{space}: {list(c.rows)}"
+                         for c in _dedup_generators(space, G) if not allowed(c))
     missing = [f"{m}, n={n}: {list(w.rows)}" for (m, n), witnesses in catalogs.items()
                for w in witnesses
                if w.min_lee_distance() < type_form_max_d(CodeParams.from_code(w))]
@@ -880,50 +877,47 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
 
 def _check_z4_singleton(rings, n_max, budget) -> dict:
     """Attainers of the Z/4 Singleton-type bound over each Z/4 of `rings`
-    (other rings are skipped).  The family is exactly the named witnesses of
-    catalog_mld plus the ambient space at each length, compared as codes (by
-    equality, not up to equivalence): an attainer outside it is extra, and a
-    member no attainer equals is missing."""
+    (other rings are skipped).  The family is the ambient space, the free
+    rank-n space, which is scanned and counted but keeps no code, and the
+    named witnesses of catalog_mld.  An attainer class whose root is no
+    witness up to signed permutation is extra, and a witness that does not
+    attain the bound is missing.  Each member is alone in its class, as
+    <(2, ..., 2)>, its dual {x : sum x_i even} and the ambient space are
+    fixed by every coordinate permutation and sign flip, so comparing
+    classes gives the answer that comparing codes would."""
     extra: list[str] = []
-    missing: list[str] = []
     examined = 0
-    for m in rings:
-        if (m.p, m.s) != (2, 2):
-            continue
-        found: dict[int, list[LinearCode]] = {n: [] for n in range(1, n_max + 1)}
-        for space, G, count in _attainers(_spaces([m], n_max, budget), "z4_singleton"):
-            examined += count
-            found[space.n].extend(_standard_codes(space, G))
-        for n, codes in found.items():
-            ambient = LinearCode.from_generator(
-                m, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n=n)
-            predicted = [*catalog_mld(m, n), ambient]
-            extra.extend(f"n={n}: {list(c.rows)}" for c in codes
-                         if not any(c == pc for pc in predicted))
-            missing.extend(f"n={n}: {list(pc.rows)}" for pc in predicted
-                           if not any(c == pc for c in codes))
+    z4 = [m for m in rings if (m.p, m.s) == (2, 2)]
+    catalogs = _catalogs(z4, n_max)
+    targets = _bound_targets("z4_singleton", lambda space: space.subtype == (space.n, 0))
+    for space, hits, count, _ in _sweep(_spaces(z4, n_max, budget), targets):
+        examined += count
+        for G in hits.values():
+            extra.extend(f"n={space.n}: {list(c.rows)}"
+                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
+    missing = [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
+               for w in witnesses if not attainment_check(w, "z4_singleton")]
     return {"theorem": "z4_singleton", "verdict": _verdict(extra, missing), "extra": extra,
             "missing": missing, "examined": examined}
 
 
 def _check_rank_sb(rings, n_max, budget) -> dict:
     """Attainers of the rank form of the Shiromoto bound below full rank;
-    the family is the rank-(n-1) codes over p = 2 and the named witnesses
-    of catalog_mld."""
+    the family is the rank-(n-1) spaces over p = 2, which are scanned and
+    counted but keep no code, and the named witnesses of catalog_mld."""
     extra: list[str] = []
     vacuous_failures = examined = 0
     catalogs = _catalogs(rings, n_max)
-
-    def allowed(c: LinearCode) -> bool:
-        return (c.modulus.p == 2 and c.rank == c.n - 1) or _named(catalogs, c)
-
-    for space, G, count in _attainers(_spaces(rings, n_max, budget), "shiromoto_rank"):
+    targets = _bound_targets("shiromoto_rank",
+                             lambda space: space.modulus.p == 2 and space.rank == space.n - 1)
+    for space, hits, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
         examined += count
-        if space.rank == space.n:
-            vacuous_failures += count - len(G)
-            continue
-        extra.extend(f"{space}: {list(c.rows)}"
-                     for c in _dedup_generators(space, G) if not allowed(c))
+        for G in hits.values():
+            if space.rank == space.n:
+                vacuous_failures += count - len(G)
+            else:
+                extra.extend(f"{space}: {list(c.rows)}"
+                             for c in _dedup_generators(space, G) if not _named(catalogs, c))
     # a full-rank code that misses the vacuous bound is a failure as well
     return {"theorem": "rank_sb", "verdict": _verdict(extra or vacuous_failures),
             "extra": extra, "vacuous_failures": vacuous_failures, "examined": examined}
@@ -934,14 +928,15 @@ def _check_alderson(rings, n_max, budget) -> dict:
     integer type 1 < k < n.  The predicted spaces are hard-coded per ring:
     Z/5 with k + 1 <= n <= k + 3, free codes over Z/7 and Z/9 with n = k + 1,
     free codes over Z/4 with k + 1 <= n <= k + 2 and over Z/8 with n = k + 1,
-    and over any Z/2^s the codes of rank K = k + 1 with K in {n, n - 1}.
-    Every attainer over any other ring is extra, save, over Z/2^s, the codes
-    of that last family."""
+    and over any Z/2^s the codes of rank K = k + 1 with K in {n, n - 1}.  A
+    predicted space is scanned and counted but keeps no code; every
+    attainer class of any other space is extra, so over a ring outside
+    these five only the last family is allowed."""
     extra: list[str] = []
     examined = 0
 
-    def predicted(params: CodeParams) -> bool:
-        m = params.modulus
+    def predicted(space: SearchSpace) -> bool:
+        m, params = space.modulus, space.params
         n, K, k, free = params.n, params.K, int(params.k), params.is_free
         if m.p != 2:
             return (m.q == 5 and k + 1 <= n <= k + 3) or \
@@ -950,9 +945,10 @@ def _check_alderson(rings, n_max, budget) -> dict:
                (free and m.s == 3 and n == k + 1) or \
                (k + 1 == K and K in (n, n - 1))
 
-    for space, G, count in _attainers(_spaces(rings, n_max, budget), "alderson_huntemann"):
+    targets = _bound_targets("alderson_huntemann", predicted)
+    for space, hits, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
         examined += count
-        if len(G) and not predicted(space.params):
+        for G in hits.values():
             extra.extend(f"{space}: {list(c.rows)}" for c in _dedup_generators(space, G))
     return {"theorem": "alderson_huntemann", "verdict": _verdict(extra), "extra": extra,
             "examined": examined}

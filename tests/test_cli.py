@@ -128,6 +128,13 @@ def test_construct_mld():
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
 
+def test_construct_mld_refuses_a_length_below_1():
+    res = run("construct", "mld", "--p", "2", "--s", "2", "--n", "-2")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stderr == "error: the code length n = -2 is below 1\n"
+
+
 def test_census_command():
     res = run("census", "--p", "2", "--s", "2", "--n", "3", "--k1", "1", "--k2", "1")
     assert res.exit_code == 0

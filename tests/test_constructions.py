@@ -215,3 +215,10 @@ def test_catalog_mld():
             for w in catalog_mld(m, n):
                 assert w.min_lee_distance() >= type_form_max_d(CodeParams.from_code(w)), (m, n)
                 assert w.rank == n or attainment_check(w, "shiromoto_rank"), (m, n)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_catalog_mld_refuses_a_length_below_1(n):
+    # no code of length n < 1 exists, so there is no witness to name
+    with pytest.raises(ValueError, match=f"n = {n} "):
+        catalog_mld(Z4, n)

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ Z7 = Modulus(7, 1)
 Z8 = Modulus(2, 3)
 Z9 = Modulus(3, 2)
 Z27 = Modulus(3, 3)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_space_validation_and_counts():
@@ -894,6 +897,61 @@ def test_characterizations_read_the_witness_catalog(monkeypatch):
     monkeypatch.setattr(search, "catalog_mld", lambda m, n: catalog(m, n) + [weak] * (n == 2))
     rep = check_characterization("shiromoto", [Z5], 2)
     assert (rep["verdict"], rep["missing"]) == ("MISSING", ["Z/5, n=2: [(1, 1)]"])
+
+
+def test_characterization_z4_singleton_lists_a_witness_that_misses_the_bound(monkeypatch):
+    # <(1, 1)> has d_L = 2, below the bound at n = 2, and no attainer is
+    # equivalent to it
+    catalog = search.catalog_mld
+    weak = LinearCode.from_generator(Z4, [[1, 1]])
+    monkeypatch.setattr(search, "catalog_mld", lambda m, n: catalog(m, n) + [weak] * (n == 2))
+    rep = check_characterization("z4_singleton", [Z4], 3)
+    assert (rep["verdict"], rep["extra"], rep["missing"]) == ("MISSING", [], ["n=2: [(1, 1)]"])
+
+
+def _alderson_predicted(space):
+    params = space.params
+    m, n, K, k, free = space.modulus, space.n, space.rank, params.k, params.is_free
+    if m.p != 2:
+        return (m.q == 5 and k + 1 <= n <= k + 3) or (free and m.q in (7, 9) and n == k + 1)
+    return (free and m.s == 2 and k + 1 <= n <= k + 2) or (free and m.s == 3 and n == k + 1) \
+        or (k + 1 == K and K in (n, n - 1))
+
+
+def test_characterizations_keep_no_code_of_an_allowed_space(monkeypatch):
+    # a space whose every code the theorem allows is scanned and counted,
+    # but none of its codes is kept, so none is classed
+    allowed = {
+        "shiromoto": lambda space: math.ceil(space.params.k) == space.n,
+        "rank_sb": lambda space: space.modulus.p == 2 and space.rank == space.n - 1,
+        "alderson_huntemann": _alderson_predicted,
+        "z4_singleton": lambda space: space.subtype == (space.n, 0),
+    }
+    examined = {"shiromoto": 683, "rank_sb": 683, "alderson_huntemann": 196,
+                "z4_singleton": 144}
+    classed = []
+    dedup = search._dedup_generators
+
+    def recorded(space, G):
+        classed.append(space)
+        return dedup(space, G)
+
+    monkeypatch.setattr(search, "_dedup_generators", recorded)
+    for theorem, whole in allowed.items():
+        classed.clear()
+        assert check_characterization(theorem, [Z4, Z5, Z9], 3)["examined"] == examined[theorem]
+        assert classed and not [space for space in classed if whole(space)], theorem
+
+
+def test_characterization_reports_at_n3_match_the_stored_reports():
+    # every field of the six reports, including those the sweep script
+    # leaves out: space_max, attainers, vacuous_failures, survivors and
+    # generators_scanned
+    reports = {theorem: check_characterization(theorem, [Z4, Z5, Z7, Z8, Z9], 3)
+               for theorem in ["shiromoto", "z4_singleton", "rank_sb", "alderson_huntemann",
+                               "plotkin_rank", "rank2_equidistant"]}
+    stored = json.loads((DATA / "characterization_reports_n3.json").read_text())
+    assert json.loads(json.dumps(reports)) == stored
 
 
 @pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
