@@ -101,13 +101,21 @@ class CodeParams:
     @classmethod
     def from_subtype(cls, modulus: Modulus, n: int, subtype, ell=None) -> "CodeParams":
         subtype = tuple(subtype)
-        if len(subtype) != modulus.s:
-            raise ValueError(f"subtype must have {modulus.s} entries")
+        _check_subtype(modulus, n, subtype)
         return cls(modulus, n, subtype_type_k(subtype), sum(subtype), subtype[0], ell)
 
     @classmethod
     def from_code(cls, code: LinearCode, ell=None) -> "CodeParams":
         return cls(code.modulus, code.n, code.type_k, code.rank, code.free_rank, ell)
+
+
+def _check_subtype(modulus: Modulus, n: int, subtype: tuple) -> None:
+    """Refuse, with ValueError, a length and subtype that no code has: a
+    code has length n >= 1, and its subtype s entries, each at least 0, of
+    sum (the rank) at most n."""
+    if n < 1 or len(subtype) != modulus.s or min(subtype) < 0 or sum(subtype) > n:
+        raise ValueError(f"no code over {modulus} has length n = {n} and subtype {subtype}: "
+                         f"need n >= 1 and {modulus.s} entries >= 0 of sum at most n")
 
 
 def coefficient_A(m: Modulus, i: int) -> Fraction:

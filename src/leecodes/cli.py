@@ -65,10 +65,7 @@ def _emit(text: str, path: str | None):
 
 def _subtype_from_flags(s, subtype, ks):
     if subtype:
-        parts = [int(x) for x in subtype.split(",")]
-        if len(parts) != s:
-            raise ValueError(f"--subtype needs exactly s={s} entries")
-        return tuple(parts)
+        return tuple(int(x) for x in subtype.split(","))
     out = list(ks[:s])
     if any(k for k in ks[s:]):
         raise ValueError(f"--k{len(ks)} flags beyond s={s} must stay zero")

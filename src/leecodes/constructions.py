@@ -170,7 +170,7 @@ def predict_generator_subtypes(spec: EquidistantSpec) -> tuple[tuple[int, ...], 
 def catalog_mld(m: Modulus, n: int) -> list[LinearCode]:
     """The named witnesses of the Lee-metric Singleton-type bounds valid for
     (p, s, n): <(1,2)> over Z/5 at n = 2; <(2^(s-1), ..., 2^(s-1))> over any
-    Z/2^s; over Z/4 additionally the dual of <(2, ..., 2)>.
+    Z/2^s; over Z/4 at n >= 2 additionally the dual of <(2, ..., 2)>.
 
     This is the only list of them.  The `shiromoto`, `rank_sb` and
     `z4_singleton` checks of search.check_characterization allow the
@@ -187,6 +187,6 @@ def catalog_mld(m: Modulus, n: int) -> list[LinearCode]:
         half = m.q // 2
         rep = LinearCode.from_generator(m, [[half] * n])
         out.append(rep)
-        if m.s == 2:
+        if m.s == 2 and n > 1:   # at n = 1, <(2)> is its own dual
             out.append(rep.dual())
     return out

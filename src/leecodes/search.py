@@ -28,17 +28,18 @@ keys.  A key is K n entries, exact for every modulus.  The two moves are
 built once per length, and the reduction scales its pivot rows by unit
 inverses taken as powers, with no sort of the units.
 
-Every target that codes are kept by is an interval [lo, hi] of d_L: the
-attainment range of a Lee bound (_spans), Shiromoto's strict type form from
-its floor up to n M, the largest Lee weight of a word, or the census's
-running maximum.  A characterization's predicted family is a filter on its
-target plus the named witnesses of catalog_mld: a space the theorem allows
-whole is scanned and counted but keeps no code, and each class kept
-elsewhere is compared with the witnesses.  The kept set of a whole space is
-closed under the group, and its orbit components are its classes.  Each
-class root is built from its standard generator as it stands, which is its
-own reduced form, so no root is reduced twice.  dedup_codes, the pairwise
-path, serves lists that need not be closed.
+Every target is an interval [lo, hi] of d_L: the attainment range of a Lee
+bound (_spans), Shiromoto's strict type form from its floor up to n M, the
+largest Lee weight of a word, or the census's running maximum.  The
+characterization sweep counts the codes of every target and keeps, that is
+decodes, only those of kept targets.  A characterization's predicted family
+is a filter on its target plus the named witnesses of catalog_mld: the
+target of a space the theorem allows whole is counted but not kept, and
+each class kept elsewhere is compared with the witnesses.  The kept set of
+a whole space is closed under the group, and its orbit components are its
+classes.  Each class root is built from its standard generator as it
+stands, which is its own reduced form, so no root is reduced twice.
+dedup_codes, the pairwise path, serves lists that need not be closed.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import CodeParams, _cell_fields, _in_range, attainment_check, type_form_max_d
+from .bounds import (CodeParams, _cell_fields, _check_subtype, _in_range, attainment_check,
+                     type_form_max_d)
 from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
 from .constructions import catalog_mld
@@ -90,12 +92,7 @@ class SearchSpace:
     budget: int = field(default=CENSUS_BUDGET, compare=False)
 
     def __post_init__(self):
-        if len(self.subtype) != self.modulus.s:
-            raise ValueError(f"subtype needs {self.modulus.s} entries")
-        if any(k < 0 for k in self.subtype):
-            raise ValueError("subtype entries must be non-negative")
-        if sum(self.subtype) > self.n:
-            raise ValueError("rank cannot exceed the length")
+        _check_subtype(self.modulus, self.n, self.subtype)
 
     @property
     def rank(self) -> int:
@@ -502,8 +499,8 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     """All codes of the space attaining the Lee bound, one representative per
     signed-permutation equivalence class, in generator order."""
-    for _, hits, _, _ in _sweep([space], _bound_targets(bound_id)):
-        return _dedup_generators(space, hits[bound_id])
+    for _, _, kept, _, _ in _sweep([space], _bound_targets(bound_id)):
+        return _dedup_generators(space, kept[bound_id])
     raise ValueError(f"bound {bound_id!r} not applicable to {space}")
 
 
@@ -780,31 +777,37 @@ def _spaces(rings, n_max: int, budget: int):
 
 def _sweep(spaces, targets):
     """Scan each of `spaces` once, in order.  `targets(space)` maps names to
-    intervals (lo, hi) of d_L, or is None to skip the space.  Yields (space,
-    {name: (B, K, n) generators of the codes with lo <= d_L <= hi}, examined,
-    max_d)."""
+    (lo, hi, keep), an interval of d_L and whether its codes are kept, or is
+    None to skip the space.  Yields (space, counts, kept, examined, max_d):
+    counts maps every target to its number of codes with lo <= d_L <= hi,
+    and kept maps each kept target to the (B, K, n) generators of those
+    codes, so a target that is only counted decodes no generator."""
     for space in spaces:
         spans = targets(space)
         if spans is None:
             continue
-        hits = {name: [] for name in spans}
+        counts = dict.fromkeys(spans, 0)
+        kept = {name: [] for name, (*_, keep) in spans.items() if keep}
         examined = max_d = 0
         for G, d in scan_space(space):
             examined += len(d)
             max_d = max(max_d, int(d.max()))
-            for name, (lo, hi) in spans.items():
-                hits[name].append(G[_in_range(lo, hi, d)])
-        yield space, {name: np.concatenate(h) for name, h in hits.items()}, examined, max_d
+            for name, (lo, hi, _) in spans.items():
+                hit = _in_range(lo, hi, d)
+                counts[name] += int(np.count_nonzero(hit))
+                if name in kept:
+                    kept[name].append(G[hit])
+        yield space, counts, {name: np.concatenate(G) for name, G in kept.items()}, examined, max_d
 
 
 def _bound_targets(bound_id: str, allowed=lambda space: False):
-    """The sweep targets of one Lee bound: None where it does not apply (the
-    space is skipped), {} where `allowed(space)` holds (the space is scanned
-    and counted, but the theorem allows all of it, so no code is kept), and
-    {bound_id: its attainment range} otherwise."""
+    """The sweep target of one Lee bound: None where it does not apply (the
+    space is skipped), and otherwise its attainment range, counted on every
+    space but kept only where `allowed(space)` fails, so a space the theorem
+    allows whole keeps no code and none of its codes is classed."""
     def targets(space):
         span = _spans(space).get(bound_id)
-        return None if span is None else {} if allowed(space) else {bound_id: span}
+        return None if span is None else {bound_id: (*span, not allowed(space))}
     return targets
 
 
@@ -833,10 +836,28 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     outside the claimed family and are reported separately in
     `ceiling_form_extras` rather than as violations.  The family is the
     ambient and full-ceiling-rank codes, which are the whole of the spaces
-    of ceil(k) = n (that forces K = n), the rank-(n-1) codes of d_L = q over
-    p = 2, and the named witnesses of catalog_mld, each of which must itself
-    attain the strict form or is listed as missing.  A space of ceil(k) = n
-    is scanned and counted but keeps no code.
+    of ceil(k) = n (that forces K = n), and the named witnesses of
+    catalog_mld, each of which must itself attain the strict form or is
+    listed as missing.  A space of ceil(k) = n is scanned and counted but
+    keeps no code.
+
+    The theorem also names the codes over p = 2 of rank K = ceil(k) = n - 1,
+    k not an integer, and d_L = q; the only one is <(M, M)>, the witness
+    catalog_mld(m, 2)[0], so the catalog filter covers them.  Proof: s >= 2,
+    as k is an integer for s = 1, and n = K + 1 >= 2.  With k_v the number
+    of generator rows of valuation v, 0 < K - k = sum v k_v / s < 1, so
+    k_(s-1) <= 1.  The socle {c : 2c = 0}, of dimension K, is M D for a
+    binary [n, n - 1] code D whose words weigh at least d_L / M = 2, so D is
+    the even-weight code E_n.  A word c with 4c = 0 but 2c != 0 has entries
+    in {0, +-M/2, M}, and 2c = M x with x the support of its +-M/2 entries.
+    Adding M e, for e in E_n the support of its M entries plus, if that is
+    odd, one of its +-M/2 entries, leaves a word of the code with entries in
+    {0, +-M/2} only, so d_L = 2M gives wt(x) >= 4.  These x form a binary
+    code of dimension K - k_(s-1) >= n - 2 and minimum weight at least 4;
+    punctured once it is an [n - 1, n - 2, >= 3] code, and the
+    sphere-packing bound 2^(n-2) n <= 2^(n-1) gives n <= 2.  At n = 2 every
+    x is 0, as no word has four entries, so the code is its socle
+    M E_2 = <(M, M)>.
     """
     extra: list[str] = []
     ceiling_extras: list[str] = []
@@ -846,27 +867,21 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
 
     def targets(space):
         params = space.params
-        if params.ceil_k == params.n:
-            return {}
+        keep = params.ceil_k < params.n
         # the strict target runs up to n M, the largest Lee weight of a word,
         # so it also keeps a code that broke the bound
-        return {"strict": (type_form_max_d(params), params.n * params.modulus.M),
-                "ceiling": _spans(space)["shiromoto"]}
+        return {"strict": (type_form_max_d(params), params.n * params.modulus.M, keep),
+                "ceiling": (*_spans(space)["shiromoto"], keep)}
 
-    def allowed(c: LinearCode) -> bool:
-        m, K = c.modulus, c.rank
-        return (m.p == 2 and c.type_k != K and K == math.ceil(c.type_k) == c.n - 1
-                and c.min_lee_distance() == m.q) or _named(catalogs, c)
-
-    for space, hits, count, top in _sweep(_spaces(rings, n_max, budget), targets):
+    for space, _, kept, count, top in _sweep(_spaces(rings, n_max, budget), targets):
         m = space.modulus
         examined += count
         space_max.append({"p": m.p, "s": m.s, "n": space.n,
                           "subtype": space.subtype, "max_d": top})
-        for name, G in hits.items():
+        for name, G in kept.items():
             found = extra if name == "strict" else ceiling_extras
             found.extend(f"{space}: {list(c.rows)}"
-                         for c in _dedup_generators(space, G) if not allowed(c))
+                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
     missing = [f"{m}, n={n}: {list(w.rows)}" for (m, n), witnesses in catalogs.items()
                for w in witnesses
                if w.min_lee_distance() < type_form_max_d(CodeParams.from_code(w))]
@@ -890,9 +905,9 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
     z4 = [m for m in rings if (m.p, m.s) == (2, 2)]
     catalogs = _catalogs(z4, n_max)
     targets = _bound_targets("z4_singleton", lambda space: space.subtype == (space.n, 0))
-    for space, hits, count, _ in _sweep(_spaces(z4, n_max, budget), targets):
+    for space, _, kept, count, _ in _sweep(_spaces(z4, n_max, budget), targets):
         examined += count
-        for G in hits.values():
+        for G in kept.values():
             extra.extend(f"n={space.n}: {list(c.rows)}"
                          for c in _dedup_generators(space, G) if not _named(catalogs, c))
     missing = [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
@@ -903,22 +918,22 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
 
 def _check_rank_sb(rings, n_max, budget) -> dict:
     """Attainers of the rank form of the Shiromoto bound below full rank;
-    the family is the rank-(n-1) spaces over p = 2, which are scanned and
-    counted but keep no code, and the named witnesses of catalog_mld."""
+    the family is the rank-(n-1) spaces over p = 2 and the named witnesses
+    of catalog_mld.  Those spaces and the full-rank ones are scanned and
+    counted but keep no code; a full-rank code that misses the vacuous
+    bound is a failure."""
     extra: list[str] = []
     vacuous_failures = examined = 0
     catalogs = _catalogs(rings, n_max)
-    targets = _bound_targets("shiromoto_rank",
-                             lambda space: space.modulus.p == 2 and space.rank == space.n - 1)
-    for space, hits, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
+    targets = _bound_targets("shiromoto_rank", lambda space: space.rank == space.n or (
+        space.modulus.p == 2 and space.rank == space.n - 1))
+    for space, counts, kept, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
         examined += count
-        for G in hits.values():
-            if space.rank == space.n:
-                vacuous_failures += count - len(G)
-            else:
-                extra.extend(f"{space}: {list(c.rows)}"
-                             for c in _dedup_generators(space, G) if not _named(catalogs, c))
-    # a full-rank code that misses the vacuous bound is a failure as well
+        if space.rank == space.n:
+            vacuous_failures += count - counts["shiromoto_rank"]
+        for G in kept.values():
+            extra.extend(f"{space}: {list(c.rows)}"
+                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
     return {"theorem": "rank_sb", "verdict": _verdict(extra or vacuous_failures),
             "extra": extra, "vacuous_failures": vacuous_failures, "examined": examined}
 
@@ -946,9 +961,9 @@ def _check_alderson(rings, n_max, budget) -> dict:
                (k + 1 == K and K in (n, n - 1))
 
     targets = _bound_targets("alderson_huntemann", predicted)
-    for space, hits, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
+    for space, _, kept, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
         examined += count
-        for G in hits.values():
+        for G in kept.values():
             extra.extend(f"{space}: {list(c.rows)}" for c in _dedup_generators(space, G))
     return {"theorem": "alderson_huntemann", "verdict": _verdict(extra), "extra": extra,
             "examined": examined}
@@ -957,21 +972,28 @@ def _check_alderson(rings, n_max, budget) -> dict:
 def _check_plotkin_rank(rings, n_max, budget) -> dict:
     """Spaces holding attainers of the level-1 rank bound A(p,s,1)(n - K + 1)
     over odd p, each of which must have n <= p + 1 and n - K + 1 in
-    {p - 1, (p - 1)/2}, where the bound reads p^(s-1)(p^2 - 1)/4 or half of it."""
+    {p - 1, (p - 1)/2}, where the bound reads p^(s-1)(p^2 - 1)/4 or half of it.
+    Those spaces are scanned and counted but keep no code, and every other
+    space that keeps a code is extra; `attainers` counts the codes of all."""
     extra: list[str] = []
     examined = attainers = 0
+
+    def family(space):
+        n, K, p = space.n, space.rank, space.modulus.p
+        return n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)
+
+    bound = _bound_targets("rank_plotkin", family)
 
     def targets(space):
         value, *_ = _cells(space)["rank_plotkin"]
         # an integer distance can never meet a fractional value exactly
-        return {"rank_plotkin": _spans(space)["rank_plotkin"]} if value.denominator == 1 else None
+        return bound(space) if value.denominator == 1 else None
 
     odd = [m for m in rings if m.p != 2]
-    for space, hits, count, _ in _sweep(_spaces(odd, n_max, budget), targets):
+    for space, counts, kept, count, _ in _sweep(_spaces(odd, n_max, budget), targets):
         examined += count
-        attainers += len(hits["rank_plotkin"])
-        n, K, p = space.n, space.rank, space.modulus.p
-        if len(hits["rank_plotkin"]) and not (n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)):
+        attainers += counts["rank_plotkin"]
+        if any(len(G) for G in kept.values()):
             _, floored, *_ = _cells(space)["rank_plotkin"]
             extra.append(f"{space}: d={floored}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,

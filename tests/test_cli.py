@@ -126,6 +126,13 @@ def test_construct_mld():
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+    # over Z/4 at n = 1 <(2)> is its own dual, listed once, so index 1 is refused
+    res = run("construct", "mld", "--p", "2", "--s", "2", "--n", "1")
+    assert res.exit_code == 0 and "catalog witness 1 of 1" in res.output
+    res = run("construct", "mld", "--p", "2", "--s", "2", "--n", "1", "--index", "1")
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
 
 
 def test_construct_mld_refuses_a_length_below_1():
@@ -161,6 +168,18 @@ def test_census_command():
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert res.stderr.startswith("error: ") and "enumeration budget" in res.stderr
     assert len(res.stderr.splitlines()) == 1
+
+
+def test_bounds_and_census_refuse_parameters_no_code_has():
+    # a negative subtype entry, or a length below 1, is refused by the one
+    # subtype check that both commands reach
+    for flags in (["--n", "3", "--subtype", "1,-1,1"], ["--n", "0"]):
+        for command in ("bounds", "census"):
+            res = run(command, "--p", "2", "--s", "3", *flags)
+            assert res.exit_code == 1, (command, flags)
+            assert isinstance(res.exception, SystemExit)   # no traceback
+            assert res.stderr.startswith("error: no code over Z/2^3 has length"), (command, flags)
+            assert len(res.stderr.splitlines()) == 1
 
 
 def test_census_of_many_equivalent_optima():

@@ -207,6 +207,9 @@ def test_catalog_mld():
 
     assert catalog_mld(Z5, 3) == []
 
+    # at n = 1 the repetition code <(2)> is its own dual, listed once
+    assert catalog_mld(Z4, 1) == [LinearCode.from_generator(Z4, [[2]])]
+
     # the Shiromoto check lists a witness as missing unless it strictly
     # attains the type form, and the rank-SB check allows the witnesses
     # below full rank as rank-form attainers

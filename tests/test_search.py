@@ -37,6 +37,11 @@ def test_space_validation_and_counts():
         SearchSpace(Z4, 2, (1,))        # wrong subtype length
     with pytest.raises(ValueError):
         SearchSpace(Z4, 1, (1, 1))      # rank over length
+    # the same check refuses the parameters that no code has
+    for n, subtype in [(3, (1, -1, 1)), (0, (0, 0, 0)), (-1, (0, 0, 0)), (2, (1, 1, 1))]:
+        for build in (SearchSpace, bounds.CodeParams.from_subtype):
+            with pytest.raises(ValueError, match="no code over Z/2\\^3 has length"):
+                build(Z8, n, subtype)
     space = SearchSpace(Z5, 2, (1,))
     assert space.candidate_count() == 6      # [2; 1]_5, the lines of F_5^2
 
@@ -873,6 +878,25 @@ def test_characterization_shiromoto_z9_ceiling_form_extras():
     assert any("(3, 3)" in x for x in rep["ceiling_form_extras"])
 
 
+def test_shiromoto_per_code_family_is_the_catalog_witness():
+    # the theorem's codes over p = 2 of rank K = ceil(k) = n - 1, k no
+    # integer, and d_L = q are <(M, M)> alone, the first witness of
+    # catalog_mld at n = 2 (the proof is in _check_shiromoto's docstring),
+    # so the check filters them through the catalog
+    for m, n_max, spaces in [(Z4, 5, 4), (Z8, 5, 11), (Modulus(2, 4), 4, 14),
+                             (Modulus(2, 5), 3, 12)]:
+        found, scanned = [], 0
+        for space in search._spaces([m], n_max, search.CENSUS_BUDGET):
+            params = space.params
+            if params.k != params.K == params.ceil_k == space.n - 1:
+                scanned += 1
+                for G, d in scan_space(space):
+                    found.extend(LinearCode.from_generator(m, g.tolist()) for g in G[d == m.q])
+        assert scanned == spaces, m
+        assert found == [search.catalog_mld(m, 2)[0]]
+        assert found == [LinearCode.from_generator(m, [[m.M, m.M]])]
+
+
 def test_characterizations_read_the_witness_catalog(monkeypatch):
     # the Singleton-type checks name their witnesses through catalog_mld alone
     catalog = search.catalog_mld
@@ -918,15 +942,27 @@ def _alderson_predicted(space):
         or (k + 1 == K and K in (n, n - 1))
 
 
+def _plotkin_family(space):
+    n, K, p = space.n, space.rank, space.modulus.p
+    return n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)
+
+
+# the spaces each scanning check allows whole
+_ALLOWED = {
+    "shiromoto": lambda space: math.ceil(space.params.k) == space.n,
+    "rank_sb": lambda space: space.rank == space.n or (space.modulus.p == 2
+                                                      and space.rank == space.n - 1),
+    "alderson_huntemann": _alderson_predicted,
+    "z4_singleton": lambda space: space.subtype == (space.n, 0),
+    "plotkin_rank": _plotkin_family,
+}
+
+
 def test_characterizations_keep_no_code_of_an_allowed_space(monkeypatch):
     # a space whose every code the theorem allows is scanned and counted,
     # but none of its codes is kept, so none is classed
-    allowed = {
-        "shiromoto": lambda space: math.ceil(space.params.k) == space.n,
-        "rank_sb": lambda space: space.modulus.p == 2 and space.rank == space.n - 1,
-        "alderson_huntemann": _alderson_predicted,
-        "z4_singleton": lambda space: space.subtype == (space.n, 0),
-    }
+    allowed = {theorem: _ALLOWED[theorem]
+               for theorem in ["shiromoto", "rank_sb", "alderson_huntemann", "z4_singleton"]}
     examined = {"shiromoto": 683, "rank_sb": 683, "alderson_huntemann": 196,
                 "z4_singleton": 144}
     classed = []
@@ -941,6 +977,37 @@ def test_characterizations_keep_no_code_of_an_allowed_space(monkeypatch):
         classed.clear()
         assert check_characterization(theorem, [Z4, Z5, Z9], 3)["examined"] == examined[theorem]
         assert classed and not [space for space in classed if whole(space)], theorem
+
+
+def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
+    # the sweep counts the attainers of an allowed space without decoding
+    # any generator of it: plotkin_rank counts 19 attainers and decodes the
+    # 4 of spaces outside its family
+    decoded, scanning = Counter(), []
+    scan, decode = search.scan_space, search._decode
+
+    def scanned(space):
+        scanning.append(space)
+        return scan(space)
+
+    def counted(base, slots, rem):
+        decoded[scanning[-1]] += len(rem)
+        return decode(base, slots, rem)
+
+    monkeypatch.setattr(search, "scan_space", scanned)
+    monkeypatch.setattr(search, "_decode", counted)
+    totals, reports = {}, {}
+    for theorem, whole in _ALLOWED.items():
+        decoded.clear()
+        scanning.clear()
+        reports[theorem] = check_characterization(theorem, [Z4, Z5, Z9], 3)
+        assert [space for space in scanning if whole(space)], theorem
+        assert not [space for space in decoded if whole(space)], theorem
+        totals[theorem] = sum(decoded.values())
+    # only the attainers of spaces outside the families are decoded
+    assert totals == {"shiromoto": 18, "rank_sb": 17, "alderson_huntemann": 0,
+                      "z4_singleton": 5, "plotkin_rank": 4}
+    assert reports["plotkin_rank"]["attainers"] == 19
 
 
 def test_characterization_reports_at_n3_match_the_stored_reports():
