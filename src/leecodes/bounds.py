@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,8 +101,7 @@ class CodeParams:
 
     @classmethod
     def from_subtype(cls, modulus: Modulus, n: int, subtype, ell=None) -> "CodeParams":
-        subtype = tuple(subtype)
-        _check_subtype(modulus, n, subtype)
+        subtype = _check_subtype(modulus, n, subtype)
         return cls(modulus, n, subtype_type_k(subtype), sum(subtype), subtype[0], ell)
 
     @classmethod
@@ -109,13 +109,22 @@ class CodeParams:
         return cls(code.modulus, code.n, code.type_k, code.rank, code.free_rank, ell)
 
 
-def _check_subtype(modulus: Modulus, n: int, subtype: tuple) -> None:
-    """Refuse, with ValueError, a length and subtype that no code has: a
-    code has length n >= 1, and its subtype s entries, each at least 0, of
-    sum (the rank) at most n."""
-    if n < 1 or len(subtype) != modulus.s or min(subtype) < 0 or sum(subtype) > n:
+def _check_subtype(modulus: Modulus, n: int, subtype) -> tuple[int, ...]:
+    """Read a subtype: return it as a tuple of Python ints, or refuse, with
+    ValueError, a length and subtype that no code has.  A code has length
+    n >= 1, and its subtype s integer entries, each at least 0, of sum (the
+    rank) at most n.  This is the only reader of a subtype; `CodeParams` and
+    `SearchSpace` keep what it returns."""
+    subtype = tuple(subtype)
+    try:
+        entries = tuple(map(operator.index, subtype))
+        valid = n >= 1 and len(entries) == modulus.s and min(entries) >= 0 and sum(entries) <= n
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError(f"no code over {modulus} has length n = {n} and subtype {subtype}: "
-                         f"need n >= 1 and {modulus.s} entries >= 0 of sum at most n")
+                         f"need n >= 1 and {modulus.s} integer entries >= 0 of sum at most n")
+    return entries
 
 
 def coefficient_A(m: Modulus, i: int) -> Fraction:

@@ -63,28 +63,15 @@ def _emit(text: str, path: str | None):
         _fail(f"cannot write {path}: {exc.strerror}")
 
 
-def _subtype_from_flags(s, subtype, ks):
-    if subtype:
-        return tuple(int(x) for x in subtype.split(","))
-    out = list(ks[:s])
-    if any(k for k in ks[s:]):
-        raise ValueError(f"--k{len(ks)} flags beyond s={s} must stay zero")
-    return tuple(out)
+def _subtype(text: str) -> tuple[int, ...]:
+    """The comma-separated entries of --subtype; `CodeParams` and
+    `SearchSpace` check them."""
+    return tuple(int(x) for x in text.split(","))
 
 
 @click.group()
 def main():
     """Linear codes over Z/p^s Z in the Lee metric."""
-
-
-_k_options = [click.option(f"--k{i}", default=0, show_default=True,
-                           help=f"subtype multiplicity k_{i}") for i in range(1, 6)]
-
-
-def _with_k_options(fn):
-    for opt in reversed(_k_options):
-        fn = opt(fn)
-    return fn
 
 
 @main.command("bounds")
@@ -93,20 +80,21 @@ def _with_k_options(fn):
 @click.option("--s", type=int, default=1, show_default=True)
 @click.option("--n", type=int, default=None)
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
-@_with_k_options
 @click.option("--json", "as_json", is_flag=True, help="emit JSON instead of a table")
 @_exit_codes
-def cmd_bounds(path, p, s, n, subtype, k1, k2, k3, k4, k5, as_json):
+def cmd_bounds(path, p, s, n, subtype, as_json):
     """Evaluate every bound for a parameter set or a concrete code."""
     if path is not None:
+        if (p, n, subtype) != (None, None, None):
+            raise ValueError("--file takes no --p, --n or --subtype: the code sets them")
         code = _load_code(path)
         cells = evaluate_bounds(code)
         header = f"code over {code.modulus}, n={code.n}, subtype={code.subtype}, d_L={code.min_lee_distance()}"
     else:
-        if p is None or n is None:
+        if p is None or n is None or subtype is None:
             raise ValueError("need --file, or --p/--n with a subtype")
         m = Modulus(p, s)
-        st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
+        st = _subtype(subtype)
         params = CodeParams.from_subtype(m, n, st)
         cells = evaluate_bounds(params)
         header = f"parameters over {m}, n={n}, subtype={st}, k={params.k}"
@@ -194,16 +182,13 @@ def construct_mld(p, s, n, index, out):
 @click.option("--p", type=int, required=True)
 @click.option("--s", type=int, default=1, show_default=True)
 @click.option("--n", type=int, required=True)
-@click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
-@_with_k_options
+@click.option("--subtype", required=True, help="comma-separated k_1,...,k_s")
 @click.option("--budget", type=int, default=CENSUS_BUDGET, show_default=True,
               help="refuse (exit 2) a space of more codes than this")
 @_exit_codes
-def cmd_census(p, s, n, subtype, k1, k2, k3, k4, k5, budget):
+def cmd_census(p, s, n, subtype, budget):
     """Exhaustive max-d_L census over one (p, s, n, subtype) space."""
-    m = Modulus(p, s)
-    st = _subtype_from_flags(s, subtype, (k1, k2, k3, k4, k5))
-    space = SearchSpace(m, n, st, budget)
+    space = SearchSpace(Modulus(p, s), n, _subtype(subtype), budget)
     click.echo(max_lee_distance_census(space).to_json())
 
 

@@ -207,13 +207,16 @@ class LinearCode:
 
     @classmethod
     def from_generator(cls, modulus: Modulus, rows, n: int | None = None) -> "LinearCode":
-        """Build the row span of `rows`; redundant or zero rows are allowed."""
+        """Build the row span of `rows`; redundant or zero rows are allowed.
+        A length below 1, given or inferred, raises ValueError."""
         q = modulus.q
         given = tuple([tuple([int(e) % q for e in row]) for row in rows])
         if n is None:
             if not given:
                 raise ValueError("cannot infer length from an empty generator")
             n = len(given[0])
+        if n < 1:
+            raise ValueError(f"the code length n = {n} is below 1")
         if any(len(r) != n for r in given):
             raise ValueError("generator rows disagree with the code length")
         reduced, pivots = _row_reduce(modulus, [list(r) for r in given])
@@ -503,6 +506,8 @@ def parse_code_text(text: str) -> LinearCode:
         p, s, n = (int(x) for x in head)
     except ValueError as exc:
         raise ValueError(f"bad header {head_line!r} (line {lineno})") from exc
+    if n < 1:
+        raise ValueError(f"the code length n = {n} is below 1 (line {lineno})")
     m = Modulus(p, s)
     rows = []
     for lineno, ln in numbered[1:]:

@@ -92,7 +92,7 @@ class SearchSpace:
     budget: int = field(default=CENSUS_BUDGET, compare=False)
 
     def __post_init__(self):
-        _check_subtype(self.modulus, self.n, self.subtype)
+        object.__setattr__(self, "subtype", _check_subtype(self.modulus, self.n, self.subtype))
 
     @property
     def rank(self) -> int:
@@ -1062,8 +1062,11 @@ def check_characterization(theorem_id: str, rings, n_max: int,
     Known ids: 'shiromoto', 'z4_singleton', 'rank_sb', 'alderson_huntemann',
     'plotkin_rank', 'rank2_equidistant'.  Returns a report whose `verdict` is
     EQUAL when the enumerated attaining set is exactly the predicted family,
-    with MISSING/EXTRA detail otherwise.
+    with MISSING/EXTRA detail otherwise.  An n_max below 1, which would leave
+    nothing to examine, raises ValueError.
     """
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown characterization id {theorem_id!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} is below 1")
     return _CHECKS[theorem_id](list(rings), n_max, budget)

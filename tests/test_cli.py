@@ -15,7 +15,7 @@ def run(*args, **kw):
 
 
 def test_bounds_from_parameters():
-    res = run("bounds", "--p", "3", "--s", "5", "--n", "20", "--k1", "10", "--k2", "0")
+    res = run("bounds", "--p", "3", "--s", "5", "--n", "20", "--subtype", "10,0,0,0,0")
     assert res.exit_code == 0
     out = res.output
     assert "chiang_wolf" in out and "671" in out
@@ -26,7 +26,7 @@ def test_bounds_from_parameters():
 
 
 def test_bounds_z4_row():
-    res = run("bounds", "--p", "2", "--s", "2", "--n", "2", "--k1", "0", "--k2", "1",
+    res = run("bounds", "--p", "2", "--s", "2", "--n", "2", "--subtype", "0,1",
               "--json")
     assert res.exit_code == 0
     doc = json.loads(res.output)
@@ -44,8 +44,47 @@ def test_bounds_from_file_reports_attainment(tmp_path):
 
 
 def test_bounds_input_errors():
-    assert run("bounds", "--p", "4", "--s", "1", "--n", "2", "--k1", "1").exit_code == 1
+    assert run("bounds", "--p", "4", "--s", "1", "--n", "2", "--subtype", "1").exit_code == 1
     assert run("bounds").exit_code == 1
+
+
+def test_bounds_names_a_subtype_one_way_only():
+    # a subtype is --subtype alone, with all s entries: no flag takes a part
+    # of it, and none is left at zero by default
+    _fails_cleanly(run("bounds", "--p", "3", "--n", "4"))
+    assert run("bounds", "--p", "3", "--n", "4").stderr == \
+        "error: need --file, or --p/--n with a subtype\n"
+    for command in ("bounds", "census"):
+        res = run(command, "--p", "5", "--n", "2", "--subtype", "1", "--k1", "2")
+        assert res.exit_code == 2 and "No such option" in res.output
+    res = run("census", "--p", "5", "--n", "2")
+    assert res.exit_code == 2 and "Missing option '--subtype'" in res.output
+    res = run("bounds", "--p", "2", "--s", "6", "--n", "3", "--subtype", "1,0,0,0,0,0")
+    assert res.exit_code == 0
+    assert res.output.startswith("parameters over Z/2^6, n=3, subtype=(1, 0, 0, 0, 0, 0), k=1\n")
+
+
+def test_bounds_refuses_a_file_with_parameters(tmp_path):
+    path = tmp_path / "c.code"
+    path.write_text("5 1 2\n1 2\n")
+    alone = run("bounds", "--file", str(path))
+    assert alone.exit_code == 0
+    assert alone.output.startswith("code over Z/5, n=2, subtype=(1,), d_L=3\n")
+    for flags in (["--p", "3", "--n", "7", "--subtype", "2"], ["--p", "5"], ["--n", "2"],
+                  ["--subtype", "1"]):
+        res = run("bounds", "--file", str(path), *flags)
+        _fails_cleanly(res)
+        assert res.stderr.startswith("error: --file takes no --p, --n or --subtype"), flags
+
+
+def test_a_code_file_of_length_below_1_exits_1(tmp_path):
+    path = tmp_path / "c.code"
+    for n, rows in (("0", ""), ("-2", "1 2\n")):
+        path.write_text(f"5 1 {n}\n{rows}")
+        for args in (["inspect", str(path)], ["bounds", "--file", str(path)]):
+            res = run(*args)
+            _fails_cleanly(res)
+            assert res.stderr == f"error: the code length n = {n} is below 1 (line 1)\n", args
 
 
 def test_inspect(tmp_path):
@@ -143,27 +182,27 @@ def test_construct_mld_refuses_a_length_below_1():
 
 
 def test_census_command():
-    res = run("census", "--p", "2", "--s", "2", "--n", "3", "--k1", "1", "--k2", "1")
+    res = run("census", "--p", "2", "--s", "2", "--n", "3", "--subtype", "1,1")
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["max_lee_distance"] == 2
 
-    res = run("census", "--p", "5", "--n", "2", "--k1", "1")
+    res = run("census", "--p", "5", "--n", "2", "--subtype", "1")
     doc = json.loads(res.output)
     assert doc["max_lee_distance"] == 3
     assert len(doc["optimal_generators"]) == 1  # one class, led by <(1,2)>
 
     # budget refusal is exit code 2
-    res = run("census", "--p", "3", "--s", "2", "--n", "4", "--k1", "2", "--k2", "1",
+    res = run("census", "--p", "3", "--s", "2", "--n", "4", "--subtype", "2,1",
               "--budget", "10")
     assert res.exit_code == 2
     # a zero budget refuses every space, it does not lift the budget
-    res = run("census", "--p", "5", "--n", "2", "--k1", "1", "--budget", "0")
+    res = run("census", "--p", "5", "--n", "2", "--subtype", "1", "--budget", "0")
     assert res.exit_code == 2
     assert "has 6 codes" in res.stderr
     # so is a code past the codeword budget: the one code of Z/9 n=12 (12,0)
     # has 9^12 codewords, and the scan refuses it before building its grid
-    res = run("census", "--p", "3", "--s", "2", "--n", "12", "--k1", "12")
+    res = run("census", "--p", "3", "--s", "2", "--n", "12", "--subtype", "12,0")
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert res.stderr.startswith("error: ") and "enumeration budget" in res.stderr
@@ -173,7 +212,7 @@ def test_census_command():
 def test_bounds_and_census_refuse_parameters_no_code_has():
     # a negative subtype entry, or a length below 1, is refused by the one
     # subtype check that both commands reach
-    for flags in (["--n", "3", "--subtype", "1,-1,1"], ["--n", "0"]):
+    for flags in (["--n", "3", "--subtype", "1,-1,1"], ["--n", "0", "--subtype", "0,0,0"]):
         for command in ("bounds", "census"):
             res = run(command, "--p", "2", "--s", "3", *flags)
             assert res.exit_code == 1, (command, flags)
@@ -184,7 +223,7 @@ def test_bounds_and_census_refuse_parameters_no_code_has():
 
 def test_census_of_many_equivalent_optima():
     # 32 optimal codes in one class; a pairwise search once refused this
-    res = run("census", "--p", "3", "--n", "6", "--k1", "5")
+    res = run("census", "--p", "3", "--n", "6", "--subtype", "5")
     assert res.exit_code == 0, res.output
     doc = json.loads(res.output)
     assert doc["max_lee_distance"] == 2 and len(doc["optimal_generators"]) == 1
@@ -195,7 +234,7 @@ def test_python_m_runs_from_a_checkout():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "leecodes", "census", "--p", "5",
-                           "--n", "2", "--k1", "1"], env=env, capture_output=True,
+                           "--n", "2", "--subtype", "1"], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["max_lee_distance"] == 3

@@ -510,6 +510,18 @@ def test_text_format_parsing_errors():
         parse_code_text("# nothing\n")
 
 
+def test_a_code_of_length_below_1_is_refused():
+    for build in (lambda: LinearCode.from_generator(Z5, [[]]),
+                  lambda: LinearCode.from_generator(Z5, [], n=0),
+                  lambda: LinearCode.zero(Z5, 0)):
+        with pytest.raises(ValueError, match="the code length n = 0 is below 1"):
+            build()
+    # the header is refused before any row is read
+    for text in ("5 1 0\n", "5 1 -2\n1 2\n"):
+        with pytest.raises(ValueError, match="is below 1 \\(line 1\\)"):
+            parse_code_text(text)
+
+
 def test_text_format_comments_and_reduction():
     code = parse_code_text("3 2 2\n# generator below\n10 2\n")
     assert code.given_rows == ((1, 2),)

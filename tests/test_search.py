@@ -46,6 +46,20 @@ def test_space_validation_and_counts():
     assert space.candidate_count() == 6      # [2; 1]_5, the lines of F_5^2
 
 
+def test_space_keeps_its_subtype_as_a_tuple_of_ints():
+    space = SearchSpace(Z5, 2, [1])
+    assert space == SearchSpace(Z5, 2, (1,)) and hash(space) == hash(SearchSpace(Z5, 2, (1,)))
+    assert space.subtype == (1,) and max_lee_distance_census(space).max_d == 3
+    space = SearchSpace(Z9, 4, np.array([2, 1]))
+    assert space.subtype == (2, 1) and all(type(k) is int for k in space.subtype)
+    assert bounds.CodeParams.from_subtype(Z9, 4, np.array([2, 1])) == space.params
+    # an entry that is no integer is refused by the same check
+    for subtype in [(1, 0.5), (1, "1"), (1, None)]:
+        for build in (SearchSpace, bounds.CodeParams.from_subtype):
+            with pytest.raises(ValueError, match="integer entries"):
+                build(Z9, 2, subtype)
+
+
 def test_budget_refusal_reports_count():
     space = SearchSpace(Z9, 4, (2, 1), budget=100)
     with pytest.raises(BudgetError, match=str(space.candidate_count())):
@@ -1080,3 +1094,14 @@ def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkey
 def test_characterization_rejects_unknown_theorem():
     with pytest.raises(ValueError, match="unknown characterization id"):
         check_characterization("singleton", [Z4], 2)
+
+
+@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
+                                     "alderson_huntemann", "plotkin_rank", "rank2_equidistant"])
+def test_characterization_refuses_n_max_below_1(monkeypatch, theorem):
+    def no_space(*args, **kwargs):
+        raise AssertionError("a space was built")
+    monkeypatch.setattr(search, "SearchSpace", no_space)
+    for n_max in (0, -1):
+        with pytest.raises(ValueError, match=f"n_max = {n_max} is below 1"):
+            check_characterization(theorem, [Z4, Z5], n_max)
