@@ -11,6 +11,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import report as report_mod
 from .bounds import CodeParams, evaluate_bounds
@@ -64,9 +65,12 @@ def _emit(text: str, path: str | None):
 
 
 def _subtype(text: str) -> tuple[int, ...]:
-    """The comma-separated entries of --subtype; `CodeParams` and
+    """The comma-separated integer entries of --subtype; `CodeParams` and
     `SearchSpace` check them."""
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"--subtype takes comma-separated integers, got {text!r}") from None
 
 
 @click.group()
@@ -85,8 +89,10 @@ def main():
 def cmd_bounds(path, p, s, n, subtype, as_json):
     """Evaluate every bound for a parameter set or a concrete code."""
     if path is not None:
-        if (p, n, subtype) != (None, None, None):
-            raise ValueError("--file takes no --p, --n or --subtype: the code sets them")
+        # --s has a default, so only its source tells whether it was given
+        s_given = click.get_current_context().get_parameter_source("s") != ParameterSource.DEFAULT
+        if (p, n, subtype) != (None, None, None) or s_given:
+            raise ValueError("--file takes no --p, --n or --subtype, nor --s: the code sets them")
         code = _load_code(path)
         cells = evaluate_bounds(code)
         header = f"code over {code.modulus}, n={code.n}, subtype={code.subtype}, d_L={code.min_lee_distance()}"

@@ -29,17 +29,18 @@ built once per length, and the reduction scales its pivot rows by unit
 inverses taken as powers, with no sort of the units.
 
 Every target is an interval [lo, hi] of d_L: the attainment range of a Lee
-bound (_spans), Shiromoto's strict type form from its floor up to n M, the
+bound (_spans), Shiromoto's ceiling form from its floor up to n M, the
 largest Lee weight of a word, or the census's running maximum.  The
-characterization sweep counts the codes of every target and keeps, that is
-decodes, only those of kept targets.  A characterization's predicted family
-is a filter on its target plus the named witnesses of catalog_mld: the
-target of a space the theorem allows whole is counted but not kept, and
-each class kept elsewhere is compared with the witnesses.  The kept set of
-a whole space is closed under the group, and its orbit components are its
-classes.  Each class root is built from its standard generator as it
-stands, which is its own reduced form, so no root is reduced twice.
-dedup_codes, the pairwise path, serves lists that need not be closed.
+characterization sweep takes one interval per space, counts its codes, and
+where the space is kept decodes them and hands the check their classes.  A
+characterization's predicted family is a filter on its target plus the
+named witnesses of catalog_mld: a space the theorem allows whole is counted
+but not kept, and each class kept elsewhere is compared with the witnesses.
+The kept set of a whole space is closed under the group, and its orbit
+components are its classes.  Each class root is built from its standard
+generator as it stands, which is its own reduced form, so no root is
+reduced twice.  dedup_codes, the pairwise path, serves lists that need not
+be closed.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class SearchSpace:
     def rank(self) -> int:
         return sum(self.subtype)
 
-    @property
+    @functools.cached_property
     def params(self) -> CodeParams:
         return CodeParams.from_subtype(self.modulus, self.n, self.subtype)
 
@@ -499,8 +500,8 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     """All codes of the space attaining the Lee bound, one representative per
     signed-permutation equivalence class, in generator order."""
-    for _, _, kept, _, _ in _sweep([space], _bound_targets(bound_id)):
-        return _dedup_generators(space, kept[bound_id])
+    for _, _, classes, _, _ in _sweep([space], _bound_target(bound_id)):
+        return classes
     raise ValueError(f"bound {bound_id!r} not applicable to {space}")
 
 
@@ -775,40 +776,40 @@ def _spaces(rings, n_max: int, budget: int):
             for m in rings for n in range(1, n_max + 1) for subtype in all_subtypes(m, n))
 
 
-def _sweep(spaces, targets):
-    """Scan each of `spaces` once, in order.  `targets(space)` maps names to
-    (lo, hi, keep), an interval of d_L and whether its codes are kept, or is
-    None to skip the space.  Yields (space, counts, kept, examined, max_d):
-    counts maps every target to its number of codes with lo <= d_L <= hi,
-    and kept maps each kept target to the (B, K, n) generators of those
-    codes, so a target that is only counted decodes no generator."""
+def _sweep(spaces, target):
+    """Scan each of `spaces` once, in order.  `target(space)` is (lo, hi,
+    keep), one interval of d_L and whether its codes are kept, or None to
+    skip the space.  Yields (space, count, classes, examined, max_d): count
+    is the number of codes with lo <= d_L <= hi, and classes holds one code
+    per signed-permutation class of them, from _dedup_generators, where keep
+    holds and is [] elsewhere, so a space that is only counted decodes no
+    generator and is never classed."""
     for space in spaces:
-        spans = targets(space)
-        if spans is None:
+        span = target(space)
+        if span is None:
             continue
-        counts = dict.fromkeys(spans, 0)
-        kept = {name: [] for name, (*_, keep) in spans.items() if keep}
-        examined = max_d = 0
+        lo, hi, keep = span
+        kept, count, examined, max_d = [], 0, 0, 0
         for G, d in scan_space(space):
             examined += len(d)
             max_d = max(max_d, int(d.max()))
-            for name, (lo, hi, _) in spans.items():
-                hit = _in_range(lo, hi, d)
-                counts[name] += int(np.count_nonzero(hit))
-                if name in kept:
-                    kept[name].append(G[hit])
-        yield space, counts, {name: np.concatenate(G) for name, G in kept.items()}, examined, max_d
+            hit = _in_range(lo, hi, d)
+            count += int(np.count_nonzero(hit))
+            if keep:
+                kept.append(G[hit])
+        classes = _dedup_generators(space, np.concatenate(kept)) if keep else []
+        yield space, count, classes, examined, max_d
 
 
-def _bound_targets(bound_id: str, allowed=lambda space: False):
+def _bound_target(bound_id: str, allowed=lambda space: False):
     """The sweep target of one Lee bound: None where it does not apply (the
     space is skipped), and otherwise its attainment range, counted on every
     space but kept only where `allowed(space)` fails, so a space the theorem
     allows whole keeps no code and none of its codes is classed."""
-    def targets(space):
+    def target(space):
         span = _spans(space).get(bound_id)
-        return None if span is None else {bound_id: (*span, not allowed(space))}
-    return targets
+        return None if span is None else (*span, not allowed(space))
+    return target
 
 
 def _verdict(extra, missing=()) -> str:
@@ -841,6 +842,16 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     listed as missing.  A space of ceil(k) = n is scanned and counted but
     keeps no code.
 
+    Each space is swept once over one interval, from the ceiling form's
+    floor M(n - ceil(k)) + 1 up to n M, the largest Lee weight of a word, so
+    it also keeps a code that broke the bound.  The strict floor
+    floor(M(n - k)) + 1 lies between the ceiling floor and the ceiling top
+    M(n - ceil(k) + 1) plus one, so this interval is the union of the two
+    forms' ranges.  A class root that is no witness is extra when its d_L
+    reaches the strict floor, and a ceiling-form extra when its d_L is at
+    most the ceiling top, so it may be both.  Equivalent codes share d_L,
+    so each class lies whole in a list.
+
     The theorem also names the codes over p = 2 of rank K = ceil(k) = n - 1,
     k not an integer, and d_L = q; the only one is <(M, M)>, the witness
     catalog_mld(m, 2)[0], so the catalog filter covers them.  Proof: s >= 2,
@@ -865,23 +876,27 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     space_max: list[dict] = []
     catalogs = _catalogs(rings, n_max)
 
-    def targets(space):
+    def target(space):
         params = space.params
-        keep = params.ceil_k < params.n
-        # the strict target runs up to n M, the largest Lee weight of a word,
-        # so it also keeps a code that broke the bound
-        return {"strict": (type_form_max_d(params), params.n * params.modulus.M, keep),
-                "ceiling": (*_spans(space)["shiromoto"], keep)}
+        lo, _ = _spans(space)["shiromoto"]
+        return lo, params.n * params.modulus.M, params.ceil_k < params.n
 
-    for space, _, kept, count, top in _sweep(_spaces(rings, n_max, budget), targets):
+    for space, _, classes, scanned, top in _sweep(_spaces(rings, n_max, budget), target):
         m = space.modulus
-        examined += count
+        examined += scanned
         space_max.append({"p": m.p, "s": m.s, "n": space.n,
                           "subtype": space.subtype, "max_d": top})
-        for name, G in kept.items():
-            found = extra if name == "strict" else ceiling_extras
-            found.extend(f"{space}: {list(c.rows)}"
-                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
+        if not classes:
+            continue
+        strict, (_, ceiling) = type_form_max_d(space.params), _spans(space)["shiromoto"]
+        for c in classes:
+            if _named(catalogs, c):
+                continue
+            d, entry = c.min_lee_distance(), f"{space}: {list(c.rows)}"
+            if d >= strict:
+                extra.append(entry)
+            if d <= ceiling:
+                ceiling_extras.append(entry)
     missing = [f"{m}, n={n}: {list(w.rows)}" for (m, n), witnesses in catalogs.items()
                for w in witnesses
                if w.min_lee_distance() < type_form_max_d(CodeParams.from_code(w))]
@@ -904,12 +919,10 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
     examined = 0
     z4 = [m for m in rings if (m.p, m.s) == (2, 2)]
     catalogs = _catalogs(z4, n_max)
-    targets = _bound_targets("z4_singleton", lambda space: space.subtype == (space.n, 0))
-    for space, _, kept, count, _ in _sweep(_spaces(z4, n_max, budget), targets):
-        examined += count
-        for G in kept.values():
-            extra.extend(f"n={space.n}: {list(c.rows)}"
-                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
+    target = _bound_target("z4_singleton", lambda space: space.subtype == (space.n, 0))
+    for space, _, classes, scanned, _ in _sweep(_spaces(z4, n_max, budget), target):
+        examined += scanned
+        extra.extend(f"n={space.n}: {list(c.rows)}" for c in classes if not _named(catalogs, c))
     missing = [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
                for w in witnesses if not attainment_check(w, "z4_singleton")]
     return {"theorem": "z4_singleton", "verdict": _verdict(extra, missing), "extra": extra,
@@ -925,15 +938,13 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
     extra: list[str] = []
     vacuous_failures = examined = 0
     catalogs = _catalogs(rings, n_max)
-    targets = _bound_targets("shiromoto_rank", lambda space: space.rank == space.n or (
+    target = _bound_target("shiromoto_rank", lambda space: space.rank == space.n or (
         space.modulus.p == 2 and space.rank == space.n - 1))
-    for space, counts, kept, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
-        examined += count
+    for space, count, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
+        examined += scanned
         if space.rank == space.n:
-            vacuous_failures += count - counts["shiromoto_rank"]
-        for G in kept.values():
-            extra.extend(f"{space}: {list(c.rows)}"
-                         for c in _dedup_generators(space, G) if not _named(catalogs, c))
+            vacuous_failures += scanned - count
+        extra.extend(f"{space}: {list(c.rows)}" for c in classes if not _named(catalogs, c))
     return {"theorem": "rank_sb", "verdict": _verdict(extra or vacuous_failures),
             "extra": extra, "vacuous_failures": vacuous_failures, "examined": examined}
 
@@ -960,11 +971,10 @@ def _check_alderson(rings, n_max, budget) -> dict:
                (free and m.s == 3 and n == k + 1) or \
                (k + 1 == K and K in (n, n - 1))
 
-    targets = _bound_targets("alderson_huntemann", predicted)
-    for space, _, kept, count, _ in _sweep(_spaces(rings, n_max, budget), targets):
-        examined += count
-        for G in kept.values():
-            extra.extend(f"{space}: {list(c.rows)}" for c in _dedup_generators(space, G))
+    target = _bound_target("alderson_huntemann", predicted)
+    for space, _, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
+        examined += scanned
+        extra.extend(f"{space}: {list(c.rows)}" for c in classes)
     return {"theorem": "alderson_huntemann", "verdict": _verdict(extra), "extra": extra,
             "examined": examined}
 
@@ -982,18 +992,18 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
         n, K, p = space.n, space.rank, space.modulus.p
         return n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)
 
-    bound = _bound_targets("rank_plotkin", family)
+    bound = _bound_target("rank_plotkin", family)
 
-    def targets(space):
+    def target(space):
         value, *_ = _cells(space)["rank_plotkin"]
         # an integer distance can never meet a fractional value exactly
         return bound(space) if value.denominator == 1 else None
 
     odd = [m for m in rings if m.p != 2]
-    for space, counts, kept, count, _ in _sweep(_spaces(odd, n_max, budget), targets):
-        examined += count
-        attainers += counts["rank_plotkin"]
-        if any(len(G) for G in kept.values()):
+    for space, count, classes, scanned, _ in _sweep(_spaces(odd, n_max, budget), target):
+        examined += scanned
+        attainers += count
+        if classes:
             _, floored, *_ = _cells(space)["rank_plotkin"]
             extra.append(f"{space}: d={floored}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,

@@ -77,6 +77,30 @@ def test_bounds_refuses_a_file_with_parameters(tmp_path):
         assert res.stderr.startswith("error: --file takes no --p, --n or --subtype"), flags
 
 
+
+def test_bounds_refuses_a_file_with_an_explicit_s(tmp_path):
+    # --s has a default, so it is refused next to --file only when given,
+    # even at the default value
+    path = tmp_path / "c.code"
+    path.write_text("5 1 2\n1 2\n")
+    alone = run("bounds", "--file", str(path))
+    assert alone.exit_code == 0
+    assert alone.output.startswith("code over Z/5, n=2, subtype=(1,), d_L=3\n")
+    for s in ("3", "1"):
+        res = run("bounds", "--file", str(path), "--s", s)
+        _fails_cleanly(res)
+        assert res.stderr.startswith("error: --file takes no "), s
+        assert "--s" in res.stderr, s
+
+
+def test_a_subtype_that_is_no_integer_list_names_the_option():
+    for text in ("1,a", "", "1.5", "1,,0"):
+        for command in ("bounds", "census"):
+            res = run(command, "--p", "5", "--n", "2", "--subtype", text)
+            _fails_cleanly(res)
+            assert res.stderr == \
+                f"error: --subtype takes comma-separated integers, got {text!r}\n", command
+
 def test_a_code_file_of_length_below_1_exits_1(tmp_path):
     path = tmp_path / "c.code"
     for n, rows in (("0", ""), ("-2", "1 2\n")):

@@ -46,6 +46,15 @@ def test_space_validation_and_counts():
     assert space.candidate_count() == 6      # [2; 1]_5, the lines of F_5^2
 
 
+
+def test_space_builds_its_params_once():
+    space, twin = SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z9, 4, (2, 1))
+    before = hash(space)
+    assert space.params is space.params
+    assert space.params == bounds.CodeParams.from_subtype(Z9, 4, (2, 1))
+    # the cached value is no field: equality and hash ignore it
+    assert hash(space) == before == hash(twin) and space == twin
+
 def test_space_keeps_its_subtype_as_a_tuple_of_ints():
     space = SearchSpace(Z5, 2, [1])
     assert space == SearchSpace(Z5, 2, (1,)) and hash(space) == hash(SearchSpace(Z5, 2, (1,)))
@@ -993,6 +1002,23 @@ def test_characterizations_keep_no_code_of_an_allowed_space(monkeypatch):
         assert classed and not [space for space in classed if whole(space)], theorem
 
 
+
+def test_characterizations_class_each_space_once(monkeypatch):
+    # the sweep keeps one interval per space and classes its codes itself,
+    # so no check classes a space twice, Shiromoto's two forms included
+    classed = Counter()
+    dedup = search._dedup_generators
+
+    def recorded(space, G):
+        classed[space] += 1
+        return dedup(space, G)
+
+    monkeypatch.setattr(search, "_dedup_generators", recorded)
+    for theorem in _ALLOWED:
+        classed.clear()
+        check_characterization(theorem, [Z4, Z5, Z9], 3)
+        assert classed and set(classed.values()) == {1}, theorem
+
 def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
     # the sweep counts the attainers of an allowed space without decoding
     # any generator of it: plotkin_rank counts 19 attainers and decodes the
@@ -1019,7 +1045,7 @@ def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
         assert not [space for space in decoded if whole(space)], theorem
         totals[theorem] = sum(decoded.values())
     # only the attainers of spaces outside the families are decoded
-    assert totals == {"shiromoto": 18, "rank_sb": 17, "alderson_huntemann": 0,
+    assert totals == {"shiromoto": 14, "rank_sb": 17, "alderson_huntemann": 0,
                       "z4_singleton": 5, "plotkin_rank": 4}
     assert reports["plotkin_rank"]["attainers"] == 19
 
