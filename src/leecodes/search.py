@@ -17,8 +17,13 @@ of one small table per column: one broadcast add per column, each partial
 sum formed once.  The tables come from one exact integer word_table per
 space over the distinct column patterns, cut by signed_half to one word of
 each pair c, -c.  Placements are batched into capped chunks, and a
-placement past the cap is cut into runs of consecutive codes.  A chunk's
-generators are decoded only for the codes a caller keeps.
+placement past the cap is cut into runs of consecutive codes.
+
+A code's index in generator order is the one handle on it.  The scan yields
+each chunk's distances with the index of its first code, callers keep the
+indices of the codes they want, and one decoder, _generators, maps indices
+to generators through the placement layout each space builds once, so only
+kept codes are decoded.
 
 Optima and attainers are merged straight from the kept generators: the
 scan emits standard forms, so each code is keyed by its generator, and one
@@ -54,8 +59,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import (CodeParams, _cell_fields, _check_subtype, _in_range, attainment_check,
-                     type_form_max_d)
+from .bounds import (BOUNDS, CodeParams, _cell_fields, _check_subtype, _in_range,
+                     attainment_check, type_form_max_d)
 from .codes import (BudgetError, LinearCode, _lee_sum_dtype, check_codewords, signed_half,
                     word_profiles, word_table)
 from .constructions import catalog_mld
@@ -102,6 +107,12 @@ class SearchSpace:
     @functools.cached_property
     def params(self) -> CodeParams:
         return CodeParams.from_subtype(self.modulus, self.n, self.subtype)
+
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """The (base, slots) of _placement_slots for each placement in
+        turn, built once per space: the scan and the decoder read it."""
+        return tuple(_placement_slots(self, placement) for placement in self.placements())
 
     def placements(self):
         """All assignments of pivot-column sets to blocks, deterministic order."""
@@ -188,17 +199,33 @@ def _decode(base: np.ndarray, slots, rem: np.ndarray) -> np.ndarray:
     return G
 
 
+def _generators(space: SearchSpace, index: np.ndarray) -> np.ndarray:
+    """The standard generators of the codes at `index`, a 1-D int array of
+    positions in generator order, in the order given: shape (len(index), K,
+    n), int64.  Generator order runs placement by placement, as the layout
+    lists them, and within a placement in the mixed radix of _decode."""
+    if not len(index):   # most selections keep nothing
+        return np.empty((0, space.rank, space.n), dtype=np.int64)
+    layout = space.layout
+    counts = [math.prod(radix for *_, radix in slots) for _, slots in layout]
+    ends = np.cumsum(counts)
+    placement = np.searchsorted(ends, index, side="right")
+    G = np.empty((len(index), *layout[0][0].shape), dtype=np.int64)
+    for r in np.flatnonzero(np.bincount(placement, minlength=len(layout))):
+        base, slots = layout[r]
+        pick = placement == r
+        G[pick] = _decode(base, slots, index[pick] - (ends[r] - counts[r]))
+    return G
+
+
 def _generator_chunks(space: SearchSpace, chunk: int):
-    """Yield the standard generators of the space as (B, K, n) tensors of at
-    most `chunk` each, placement by placement, the last slot fastest; no
-    chunk spans two placements.  The zero-code space yields one all-zero
-    (1, 1, n) generator."""
+    """Yield the standard generators of the space in generator order, as
+    (B, K, n) tensors of at most `chunk` each.  The zero-code space yields
+    one all-zero (1, 1, n) generator."""
     space.check_budget()
-    for placement in space.placements():
-        base, slots = _placement_slots(space, placement)
-        total = math.prod(radix for (_, _, _, radix) in slots)
-        for start in range(0, total, chunk):
-            yield _decode(base, slots, np.arange(start, min(start + chunk, total)))
+    total = space.candidate_count()
+    for start in range(0, total, chunk):
+        yield _generators(space, np.arange(start, min(start + chunk, total)))
 
 
 def enumerate_codes(space: SearchSpace):
@@ -298,42 +325,12 @@ def _outer_sums(tables) -> np.ndarray:
     return lee
 
 
-class _ChunkGenerators:
-    """The generators of one scan_space chunk, decoded only when indexed.
-
-    The chunk is a list of runs of consecutive codes of one placement.
-    G[index], for an index of a 1-D array of len(G) codes (a boolean mask,
-    an index array, a slice or an integer), decodes only the codes it names,
-    as int64 generators of shape (..., K, n); G[:] decodes them all.  An
-    integer past the end raises IndexError, so iteration stops."""
-
-    def __init__(self, shape, runs):
-        self._shape = shape
-        self._runs = runs   # (base, slots, first code index in the placement, count)
-        self._offsets = list(itertools.accumulate((count for *_, count in runs), initial=0))
-
-    def __len__(self) -> int:
-        return self._offsets[-1]
-
-    def __getitem__(self, index) -> np.ndarray:
-        at = np.arange(len(self))[index]
-        flat = at.reshape(-1)
-        G = np.empty((len(flat), *self._shape), dtype=np.int64)
-        if not len(flat):   # most masks keep nothing
-            return G.reshape(*at.shape, *self._shape)
-        run = np.searchsorted(self._offsets, flat, side="right") - 1
-        for r in np.flatnonzero(np.bincount(run, minlength=len(self._runs))):
-            base, slots, start, _ = self._runs[r]
-            pick = run == r
-            G[pick] = _decode(base, slots, flat[pick] - self._offsets[r] + start)
-        return G.reshape(*at.shape, *self._shape)
-
-
 def scan_space(space: SearchSpace):
-    """Yield (G_chunk, d_chunk) over the space, in generator order: the
-    chunk's generators, decoded on indexing (G_chunk[mask] is the (B_kept,
-    K, n) int64 tensor of the codes the mask keeps, G_chunk[:] all B), and
-    their minimum Lee distances (B,), int64.
+    """Yield (start, d) for each chunk of the space, in generator order:
+    d holds the minimum Lee distances (B,), int64, of the B codes at indices
+    start, ..., start + B - 1, so start is the number of codes the chunks
+    before it held.  _generators(space, start + np.flatnonzero(mask))
+    decodes the codes a mask of d keeps.
 
     d_L(cG) is the sum over the columns of wt_L(<c, col>), each term fixed by
     its column alone.  Within one pivot placement every column runs over its
@@ -367,15 +364,14 @@ def scan_space(space: SearchSpace):
         return words.astype(dtype, copy=False)
 
     layouts, patterns = [], {}   # pattern -> options
-    for placement in space.placements():
-        base, slots = _placement_slots(space, placement)
+    for base, slots in space.layout:
         columns = _placement_columns(base, slots)
         for options, pattern, _ in columns:
             patterns[pattern] = options
         order = [i for *_, at in columns for i in at]   # the slots in column order
         radices = [radix for *_, radix in slots]
         axes = sorted(range(len(order)), key=order.__getitem__)
-        layouts.append((base, slots, columns, radices, math.prod(radices), order,
+        layouts.append((columns, radices, math.prod(radices), order,
                         None if axes == list(range(len(axes))) else axes))
     # the patterns of fewest options, up to `cap` options in all, share one table
     held, rows = [], 0
@@ -390,8 +386,8 @@ def scan_space(space: SearchSpace):
                           for pattern, _, _ in held])
         tables = {pattern: table[lo:hi] for pattern, lo, hi in held}
 
-    runs, parts, fill = [], [], 0
-    for base, slots, columns, radices, total, order, axes in layouts:
+    start, parts, fill = 0, [], 0
+    for columns, radices, total, order, axes in layouts:
         full = [tables.get(pattern) for _, pattern, _ in columns]
         whole = total <= cap and all(table is not None for table in full)
         # a column outside the shared table is weighed per box, and its rows
@@ -416,18 +412,14 @@ def scan_space(space: SearchSpace):
                         built[j] = ranges, table
                     column_tables.append(table)
             if fill + count > cap:
-                yield _ChunkGenerators((K, n), runs), np.concatenate(parts, dtype=np.int64)
-                runs, parts, fill = [], [], 0
+                yield start, np.concatenate(parts, dtype=np.int64)
+                start, parts, fill = start + fill, [], 0
             d = _outer_sums(column_tables)[:, 1:].min(axis=1)
             if axes is not None:   # from column order back to slot order
                 d = d.reshape([sizes[i] for i in order]).transpose(axes).reshape(-1)
             parts.append(d)
-            start = 0
-            for (lo, _), radix in zip(box or (), radices):
-                start = start * radix + lo
-            runs.append((base, slots, start, count))
             fill += count
-    yield _ChunkGenerators((K, n), runs), np.concatenate(parts, dtype=np.int64)
+    yield start, np.concatenate(parts, dtype=np.int64)
 
 
 @dataclass
@@ -482,8 +474,8 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
     edges = np.array([(lo, hi + 1) for lo, hi in spans.values()], dtype=np.int64).reshape(-1)
     below = np.zeros(len(edges), dtype=np.int64)   # codes of d_L below each edge
     examined, max_d = 0, -1
-    best = []   # (chunk generators, mask of its codes at max_d), decoded at the end
-    for G, d in scan_space(space):
+    best = []   # indices of the codes at max_d, decoded at the end
+    for start, d in scan_space(space):
         examined += len(d)
         below += np.searchsorted(np.sort(d), edges)
         top = int(d.max())
@@ -491,15 +483,23 @@ def max_lee_distance_census(space: SearchSpace) -> CensusResult:
             max_d = top
             best = []
         if top == max_d:
-            best.append((G, d == max_d))
-    codes = _dedup_generators(space, np.concatenate([G[keep] for G, keep in best]))
+            best.append(start + np.flatnonzero(d == max_d))
+    codes = _dedup_generators(space, _generators(space, np.concatenate(best)))
     counts = dict(zip(spans, (below[1::2] - below[::2]).tolist()))
     return CensusResult(space, max_d, codes, examined, counts)
 
 
 def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     """All codes of the space attaining the Lee bound, one representative per
-    signed-permutation equivalence class, in generator order."""
+    signed-permutation equivalence class, in generator order.  An unknown
+    bound id, a bound on the Hamming distance and a Lee bound inapplicable to
+    the space each raise ValueError, each with its own reason."""
+    bound = BOUNDS.get(bound_id)
+    if bound is None:
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    if bound.hamming:
+        raise ValueError(f"bound {bound_id!r} bounds the Hamming distance, "
+                         "and find_attaining_codes scans Lee bounds only")
     for _, _, classes, _, _ in _sweep([space], _bound_target(bound_id)):
         return classes
     raise ValueError(f"bound {bound_id!r} not applicable to {space}")
@@ -790,14 +790,15 @@ def _sweep(spaces, target):
             continue
         lo, hi, keep = span
         kept, count, examined, max_d = [], 0, 0, 0
-        for G, d in scan_space(space):
+        for start, d in scan_space(space):
             examined += len(d)
             max_d = max(max_d, int(d.max()))
             hit = _in_range(lo, hi, d)
             count += int(np.count_nonzero(hit))
             if keep:
-                kept.append(G[hit])
-        classes = _dedup_generators(space, np.concatenate(kept)) if keep else []
+                kept.append(start + np.flatnonzero(hit))
+        classes = (_dedup_generators(space, _generators(space, np.concatenate(kept)))
+                   if keep else [])
         yield space, count, classes, examined, max_d
 
 
@@ -983,8 +984,9 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
     """Spaces holding attainers of the level-1 rank bound A(p,s,1)(n - K + 1)
     over odd p, each of which must have n <= p + 1 and n - K + 1 in
     {p - 1, (p - 1)/2}, where the bound reads p^(s-1)(p^2 - 1)/4 or half of it.
-    Those spaces are scanned and counted but keep no code, and every other
-    space that keeps a code is extra; `attainers` counts the codes of all."""
+    Every space is scanned and counted but keeps no code: a space outside
+    that family with a non-zero count is extra, and `attainers` counts the
+    codes of all."""
     extra: list[str] = []
     examined = attainers = 0
 
@@ -992,7 +994,7 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
         n, K, p = space.n, space.rank, space.modulus.p
         return n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)
 
-    bound = _bound_target("rank_plotkin", family)
+    bound = _bound_target("rank_plotkin", lambda space: True)
 
     def target(space):
         value, *_ = _cells(space)["rank_plotkin"]
@@ -1000,10 +1002,10 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
         return bound(space) if value.denominator == 1 else None
 
     odd = [m for m in rings if m.p != 2]
-    for space, count, classes, scanned, _ in _sweep(_spaces(odd, n_max, budget), target):
+    for space, count, _, scanned, _ in _sweep(_spaces(odd, n_max, budget), target):
         examined += scanned
         attainers += count
-        if classes:
+        if count and not family(space):
             _, floored, *_ = _cells(space)["rank_plotkin"]
             extra.append(f"{space}: d={floored}")
     return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,

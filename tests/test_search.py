@@ -15,10 +15,11 @@ from leecodes import bounds, search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
 from leecodes.codes import BudgetError, LinearCode
 from leecodes.ring import Modulus
-from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _placement_slots,
-                             _space_orders, all_subtypes, check_characterization, dedup_codes,
-                             enumerate_codes, find_attaining_codes, max_lee_distance_census,
-                             scan_space, signed_perm_equivalent, verify_mds_socle)
+from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _generators,
+                             _placement_slots, _space_orders, all_subtypes, check_characterization,
+                             dedup_codes, enumerate_codes, find_attaining_codes,
+                             max_lee_distance_census, scan_space, signed_perm_equivalent,
+                             verify_mds_socle)
 
 Z2 = Modulus(2, 1)
 Z3 = Modulus(3, 1)
@@ -50,9 +51,9 @@ def test_space_validation_and_counts():
 def test_space_builds_its_params_once():
     space, twin = SearchSpace(Z9, 4, (2, 1)), SearchSpace(Z9, 4, (2, 1))
     before = hash(space)
-    assert space.params is space.params
+    assert space.params is space.params and space.layout is space.layout
     assert space.params == bounds.CodeParams.from_subtype(Z9, 4, (2, 1))
-    # the cached value is no field: equality and hash ignore it
+    # the cached values are no fields: equality and hash ignore them
     assert hash(space) == before == hash(twin) and space == twin
 
 def test_space_keeps_its_subtype_as_a_tuple_of_ints():
@@ -168,7 +169,7 @@ def test_scan_generates_each_code_exactly_once():
             del brute[(0,) * m.s]
             for subtype in all_subtypes(m, n):
                 space = SearchSpace(m, n, subtype)
-                G = np.concatenate([G[:] for G, _ in scan_space(space)])
+                G = _scan_generators(space)
                 assert len(G) == _code_count(m.p, n, subtype) == space.candidate_count(), \
                     (m, n, subtype)
                 assert len(np.unique(_span_keys(m.q, G), axis=0)) == len(G), (m, n, subtype)
@@ -189,8 +190,9 @@ def test_scan_distances_match_brute_force():
     spaces += [SearchSpace(Z8, 4, (1, 1, 1)), SearchSpace(Z9, 4, (2, 1))]
     for space in spaces:
         q, n = space.modulus.q, space.n
-        for G, d in scan_space(space):
-            words = _span_keys(q, G[:])[:, :, None] // q ** np.arange(n) % q
+        for start, d in scan_space(space):
+            G = _chunk_generators(space, start, d)
+            words = _span_keys(q, G)[:, :, None] // q ** np.arange(n) % q
             lee = np.minimum(words, q - words).sum(axis=2)
             brute = np.where(lee > 0, lee, lee.max() + 1).min(axis=1)
             assert np.array_equal(d, brute), space
@@ -254,7 +256,7 @@ def _cap(space) -> int:
 def test_scan_sums_socle_codes_past_2_63():
     assert _SOCLE_2_31.modulus.q ** _SOCLE_2_31.rank > 2**63
     chunks = list(scan_space(_SOCLE_2_31))
-    G = np.concatenate([G[:] for G, _ in chunks])
+    G = _scan_generators(_SOCLE_2_31)
     assert np.array_equal(G, np.concatenate(list(_generator_chunks(_SOCLE_2_31, 4096))))
     d = np.concatenate([d for _, d in chunks])
     # 2^30 times the binary [4, 3] codes: only the even-weight code has d_H 2
@@ -279,15 +281,16 @@ def test_multi_chunk_scans_match_one_chunk(monkeypatch, cells):
         assert [len(table) for table in tables] == [sum(_column_patterns(space).values())], space
     monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
     splits = 0
-    for space, [(G_one, d_one)] in whole.items():
+    for space, [(start, d_one)] in whole.items():
         tables.clear()
         chunks = list(scan_space(space))
-        assert np.array_equal(np.concatenate([G[:] for G, _ in chunks]), G_one[:]), space
+        G = np.concatenate([_chunk_generators(space, *chunk) for chunk in chunks])
+        assert np.array_equal(G, _chunk_generators(space, start, d_one)), space
         assert np.array_equal(np.concatenate([d for _, d in chunks]), d_one), space
         # no table, shared by the space or built for one box, outgrows a chunk
         assert tables and all(len(table) <= _cap(space) for table in tables), space
         ends = set(itertools.accumulate(len(G) for _, G in _placement_blocks(space)))
-        splits += sum(end not in ends for end in itertools.accumulate(len(G) for G, _ in chunks))
+        splits += sum(end not in ends for end in itertools.accumulate(len(d) for _, d in chunks))
     assert splits > 0
 
 
@@ -309,8 +312,8 @@ def test_scan_splits_placements_past_the_chunk_cap(monkeypatch):
     cells = search.SCAN_CHUNK_CELLS
     for space in _CAPPED_SPACES:
         monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", cells)
-        [(G_one, d_one)] = scan_space(space)
-        G_one = G_one[:]
+        [(start, d_one)] = scan_space(space)
+        G_one = _chunk_generators(space, start, d_one)
         width = math.prod(search.signed_half(_space_orders(space)))
         sizes = [len(G) for _, G in _placement_blocks(space)]
         # a cap of a third of the largest placement
@@ -318,8 +321,8 @@ def test_scan_splits_placements_past_the_chunk_cap(monkeypatch):
         cap = _cap(space)
         assert max(sizes) > 2 * cap, space
         chunks, sums[:] = [], []
-        for G, d in scan_space(space):
-            chunks.append((G[:], d))
+        for start, d in scan_space(space):
+            chunks.append((_chunk_generators(space, start, d), d))
             # the Lee sums this chunk formed
             assert len(d) <= cap and sum(lee.size for lee in sums) <= cap * width, space
             assert all(lee.shape[1] == width for lee in sums), space
@@ -339,42 +342,53 @@ def test_scan_splits_placements_past_the_chunk_cap(monkeypatch):
         assert sum(decoded) == (d_one == d_one.max()).sum() > 0, space
 
 
-def test_scan_chunks_decode_on_indexing(monkeypatch):
+def test_generators_decode_every_index_as_the_oracle():
+    for space in _MULTI_PLACEMENT_SPACES + [_SOCLE_2_31]:
+        oracle = np.concatenate([G for _, G in _placement_blocks(space)])
+        G = _generators(space, np.arange(space.candidate_count()))
+        assert G.dtype == np.int64 and np.array_equal(G, oracle), space
+        # enumeration reads the same generators in ranges of `chunk` indices
+        for chunk in (7, 4096):
+            chunks = list(_generator_chunks(space, chunk))
+            assert all(1 <= len(G) <= chunk for G in chunks), (space, chunk)
+            assert np.array_equal(np.concatenate(chunks), oracle), (space, chunk)
+
+
+def test_generators_decode_any_selection_in_its_order():
     rng = np.random.default_rng(1)
+    for space in _MULTI_PLACEMENT_SPACES + [_SOCLE_2_31]:
+        oracle = np.concatenate([G for _, G in _placement_blocks(space)])
+        index = np.arange(len(oracle))
+        subset = rng.permutation(index)[:len(index) // 2 + 1]
+        assert np.array_equal(_generators(space, subset), oracle[subset]), space
+        assert np.array_equal(_generators(space, index[::-1]), oracle[::-1]), space
+
+
+def test_generators_of_an_empty_selection_decode_nothing(monkeypatch):
+    def no_decode(*args):
+        raise AssertionError("_decode was called")
+
+    monkeypatch.setattr(search, "_decode", no_decode)
+    for space in _MULTI_PLACEMENT_SPACES:
+        for index in (np.arange(0), np.flatnonzero(np.zeros(5, dtype=bool))):
+            G = _generators(space, index)
+            assert G.shape == (0, space.rank, space.n) and G.dtype == np.int64, space
+
+
+def test_scan_chunks_start_where_the_chunks_before_end(monkeypatch):
     space = SearchSpace(Z9, 4, (2, 1))
     # a cap of 1000 codes: the largest placement, of 2187, is split, and the
     # small ones share chunks
     monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", 1000 * 135 * 4)
     assert _cap(space) == 1000
-    for G, d in scan_space(space):
-        full = G[:]
-        assert full.shape == (len(d), space.rank, space.n) and full.dtype == np.int64
-        mask = rng.random(len(G)) < 0.5
-        assert np.array_equal(G[mask], full[mask])
-        pick = rng.permutation(len(G))[:len(G) // 2]
-        assert np.array_equal(G[pick], full[pick])
-        assert np.array_equal(G[-1], full[-1]) and np.array_equal(G[1:3], full[1:3])
-        # an integer past the end raises IndexError, so iteration stops
-        assert np.array_equal(np.array(list(G)), full)
-        with pytest.raises(IndexError):
-            G[len(G)]
+    chunks = list(scan_space(space))
+    lengths = [len(d) for _, d in chunks]
+    assert [start for start, _ in chunks] == list(itertools.accumulate(lengths[:-1], initial=0))
+    assert sum(lengths) == space.candidate_count()
     # some chunk holds the codes of more than one placement
     ends = set(itertools.accumulate(len(G) for _, G in _placement_blocks(space)))
-    offsets = list(itertools.accumulate(len(d) for _, d in scan_space(space)))
+    offsets = list(itertools.accumulate(lengths))
     assert any(a < end < b for a, b in zip([0] + offsets, offsets) for end in ends)
-
-
-def test_generator_chunks_stay_within_placements():
-    for space in _MULTI_PLACEMENT_SPACES:
-        blocks = [G for _, G in _placement_blocks(space)]
-        for chunk in (1, 7, 4096):
-            chunks = list(_generator_chunks(space, chunk))
-            # each placement is cut into chunks of `chunk` codes but its last
-            assert len(chunks) == sum(-(-len(G) // chunk) for G in blocks), (space, chunk)
-            assert all(1 <= len(G) <= chunk for G in chunks), (space, chunk)
-            ends = set(itertools.accumulate(len(G) for G in chunks))
-            assert set(itertools.accumulate(len(G) for G in blocks)) <= ends, (space, chunk)
-            assert np.array_equal(np.concatenate(chunks), np.concatenate(blocks)), (space, chunk)
 
 
 def test_block1_pivot_columns_are_slotless_unit_columns():
@@ -477,12 +491,25 @@ def test_find_attaining_codes():
     assert find_attaining_codes(SearchSpace(Z7, 2, (1,)), "shiromoto") == []
 
 
-def test_find_attaining_codes_refuses_bounds_it_cannot_scan():
+def test_find_attaining_codes_refuses_an_unknown_bound():
+    with pytest.raises(ValueError, match="unknown bound id 'no_such_bound'"):
+        find_attaining_codes(SearchSpace(Z5, 2, (1,)), "no_such_bound")
+
+
+@pytest.mark.parametrize("bound_id", ["singleton_hamming", "singleton_rank"])
+def test_find_attaining_codes_refuses_a_hamming_bound(bound_id):
+    # both apply to every space, so the refusal names the distance instead
     space = SearchSpace(Z5, 2, (1,))
-    # an unknown id, a Hamming bound, and a Lee bound inapplicable to Z/5
-    for bound_id in ("no_such_bound", "singleton_hamming", "z4_singleton"):
-        with pytest.raises(ValueError, match=f"bound '{bound_id}' not applicable to "):
-            find_attaining_codes(space, bound_id)
+    assert evaluate_bounds(space.params)[bound_id].applicable
+    with pytest.raises(ValueError, match=f"bound '{bound_id}' bounds the Hamming distance, "
+                                         "and find_attaining_codes scans Lee bounds only"):
+        find_attaining_codes(space, bound_id)
+
+
+def test_find_attaining_codes_refuses_an_inapplicable_lee_bound():
+    with pytest.raises(ValueError, match="bound 'z4_singleton' not applicable to "
+                                         r"\(Z/5, n=2, subtype=\(1,\)\)"):
+        find_attaining_codes(SearchSpace(Z5, 2, (1,)), "z4_singleton")
 
 
 @pytest.mark.parametrize("cells", [1, 500, 5000])
@@ -650,7 +677,7 @@ def test_dedup_codes_keeps_one_code_per_orbit():
                 kept = [_orbit_key(c) for c in unique]
                 assert len(set(kept)) == len(kept), (m, n, subtype)
                 assert set(kept) == {_orbit_key(c) for c in codes}, (m, n, subtype)
-                G = np.concatenate([G[:] for G, _ in scan_space(space)])
+                G = _scan_generators(space)
                 assert [c.rows for c in _dedup_generators(space, G)] \
                     == [c.rows for c in unique], (m, n, subtype)
     assert total == 1648
@@ -663,8 +690,13 @@ _FORM_SPACES = [SearchSpace(m, n, subtype) for m in (Z4, Z5, Z7, Z8, Z9)
 _FORM_SPACES += [_SOCLE_2_31, SearchSpace(Modulus(2, 16), 4, (0,) * 13 + (1, 1, 1))]
 
 
+def _chunk_generators(space, start, d):
+    """The generators of one scan chunk, each at the index of its distance."""
+    return _generators(space, start + np.arange(len(d)))
+
+
 def _scan_generators(space):
-    return np.concatenate([G[:] for G, _ in scan_space(space)])
+    return np.concatenate([_chunk_generators(space, *chunk) for chunk in scan_space(space)])
 
 
 def _row_mixes(rng, q, K, count):
@@ -913,7 +945,8 @@ def test_shiromoto_per_code_family_is_the_catalog_witness():
             params = space.params
             if params.k != params.K == params.ceil_k == space.n - 1:
                 scanned += 1
-                for G, d in scan_space(space):
+                for start, d in scan_space(space):
+                    G = _chunk_generators(space, start, d)
                     found.extend(LinearCode.from_generator(m, g.tolist()) for g in G[d == m.q])
         assert scanned == spaces, m
         assert found == [search.catalog_mld(m, 2)[0]]
@@ -1005,7 +1038,8 @@ def test_characterizations_keep_no_code_of_an_allowed_space(monkeypatch):
 
 def test_characterizations_class_each_space_once(monkeypatch):
     # the sweep keeps one interval per space and classes its codes itself,
-    # so no check classes a space twice, Shiromoto's two forms included
+    # so no check classes a space twice, Shiromoto's two forms included;
+    # plotkin_rank keeps no code, so it classes none
     classed = Counter()
     dedup = search._dedup_generators
 
@@ -1014,15 +1048,15 @@ def test_characterizations_class_each_space_once(monkeypatch):
         return dedup(space, G)
 
     monkeypatch.setattr(search, "_dedup_generators", recorded)
-    for theorem in _ALLOWED:
+    for theorem in ["shiromoto", "z4_singleton", "rank_sb", "alderson_huntemann"]:
         classed.clear()
         check_characterization(theorem, [Z4, Z5, Z9], 3)
         assert classed and set(classed.values()) == {1}, theorem
 
 def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
     # the sweep counts the attainers of an allowed space without decoding
-    # any generator of it: plotkin_rank counts 19 attainers and decodes the
-    # 4 of spaces outside its family
+    # any generator of it: plotkin_rank counts 19 attainers and, keeping no
+    # code, decodes none
     decoded, scanning = Counter(), []
     scan, decode = search.scan_space, search._decode
 
@@ -1046,7 +1080,7 @@ def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
         totals[theorem] = sum(decoded.values())
     # only the attainers of spaces outside the families are decoded
     assert totals == {"shiromoto": 14, "rank_sb": 17, "alderson_huntemann": 0,
-                      "z4_singleton": 5, "plotkin_rank": 4}
+                      "z4_singleton": 5, "plotkin_rank": 0}
     assert reports["plotkin_rank"]["attainers"] == 19
 
 

@@ -49,3 +49,40 @@ def test_every_exported_name_resolves():
         missing.extend(f"{path.name}: {name}" for name in getattr(module, "__all__", ())
                        if not hasattr(module, name))
     assert not missing, missing
+
+
+def _private_definitions(tree):
+    """(name, statement) of each private name the module defines at top
+    level: a function, a class or an assigned name that starts with one
+    underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [leaf.id for target in targets for leaf in ast.walk(target)
+                     if isinstance(leaf, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_name_is_used_in_the_library():
+    # a private helper that only its own body or the tests read is dead code:
+    # a simplification that orphans one must delete it
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    reads = {}   # name -> the (file, top-level statement index) of each read
+    for file, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            for leaf in ast.walk(node):
+                name = leaf.id if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load) \
+                    else leaf.attr if isinstance(leaf, ast.Attribute) else None
+                reads.setdefault(name, set()).add((file, i))
+    unused = [f"{file}: {name}" for file, tree in trees.items()
+              for name, node in _private_definitions(tree)
+              if not reads.get(name, set()) - {(file, tree.body.index(node))}]
+    assert trees
+    assert not unused, unused
