@@ -1,17 +1,18 @@
 """Linear codes over Z/p^s Z: construction, structural parameters, duality.
 
-A code is stored through a row-reduced generator matrix obtained by Gaussian
-elimination with minimal-valuation pivoting.  Pivot t sits in column col_t
-with entry p^(v_t) (unit normalised), rows are listed in pivot order, pivot
-valuations are non-decreasing, and every row is zero at the pivot columns of
-earlier rows.  Reordering the columns pivots-first yields the familiar
+A code is stored through its standard form (Norton and Salagean, AAECC 10,
+2000), found by Gaussian elimination with minimal-valuation pivoting.  Pivot
+t sits in column col_t with entry p^(v_t) (unit normalised), rows are listed
+in pivot order, pivot valuations are non-decreasing, and at col_t every later
+row is zero and every earlier row lies in [0, p^(v_t)), so the rows depend on
+the code alone.  Reordering the columns pivots-first yields the familiar
 block-triangular systematic shape with diagonal blocks p^(i-1)*Id_{k_i}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -61,19 +62,21 @@ class CodeMatrix:
 
 
 def _row_reduce(m: Modulus, work: list[list[int]]):
-    """Reduce generator rows with entries in [0, q-1], in place; returns
-    (pivot rows, pivots) with pivots[t] = (col, val).
+    """The standard form of generator rows with entries in [0, q-1], reduced
+    in place; returns (pivot rows, pivots) with pivots[t] = (col, val), rows
+    in pivot order.
 
     Pivot selection: smallest p-adic valuation over the active submatrix,
     leftmost column achieving it, first row within that column; the first
-    unit met in that order wins at once.  All other active rows are cleared
-    at the pivot column (their entries there have valuation >= the pivot's,
-    so the quotient is exact).
+    unit met in that order wins at once.  Every other row is then cleared at
+    the pivot column as far as the pivot allows: the active rows exactly
+    (their entries there have valuation >= the pivot's, so the quotient is
+    exact), the earlier pivot rows modulo p^val.
     """
     q, p = m.q, m.p
     open_cols = list(range(len(work[0]) if work else 0))
     active = list(range(len(work)))
-    pivot_rows: list[list[int]] = []
+    done: list[int] = []
     pivots: list[tuple[int, int]] = []
     while active:
         best = None  # (val, col, row)
@@ -98,19 +101,16 @@ def _row_reduce(m: Modulus, work: list[list[int]]):
         if row[c] != pv:
             inv = m.unit_inverse(row[c] // pv)
             row = [(e * inv) % q for e in row]
-        for r2 in active:
-            if r2 == r:
-                continue
-            e = work[r2][c]
-            if e:
-                f = e // pv
-                work[r2] = [(a - f * b) % q for a, b in zip(work[r2], row)]
         work[r] = row
-        pivot_rows.append(row)
+        active.remove(r)
+        for r2 in active + done:
+            f = work[r2][c] // pv
+            if f:
+                work[r2] = [(a - f * b) % q for a, b in zip(work[r2], row)]
+        done.append(r)
         pivots.append((c, v))
         open_cols.remove(c)
-        active.remove(r)
-    return pivot_rows, pivots
+    return [work[r] for r in done], pivots
 
 
 def subtype_type_k(subtype) -> Fraction:
@@ -189,19 +189,21 @@ def word_profiles(m: Modulus, words: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearCode:
     """A linear code with cached structural parameters.
 
     Immutable after construction; expensive codeword-derived facts are cached
-    lazily and at most once.
+    lazily and at most once.  Equality and hashing read (modulus, n, rows):
+    the rows are the code's standard form, whatever generator it came from.
     """
 
     modulus: Modulus
     n: int
-    rows: tuple[tuple[int, ...], ...]        # reduced generator rows, pivot order
-    pivots: tuple[tuple[int, int], ...]      # (column, valuation) per row
-    given_rows: tuple[tuple[int, ...], ...]  # generator as supplied (mod q)
+    rows: tuple[tuple[int, ...], ...]        # standard form rows, pivot order
+    # (column, valuation) per row, and the generator as supplied (mod q)
+    pivots: tuple[tuple[int, int], ...] = field(compare=False)
+    given_rows: tuple[tuple[int, ...], ...] = field(compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -281,7 +283,7 @@ class LinearCode:
             rows = ((0,) * self.n,)
         return CodeMatrix(self.modulus, rows), perm
 
-    # -- membership and equality -------------------------------------------
+    # -- membership --------------------------------------------------------
 
     def contains(self, vec) -> bool:
         q, p = self.modulus.q, self.modulus.p
@@ -300,16 +302,6 @@ class LinearCode:
     def is_subcode_of(self, other: "LinearCode") -> bool:
         return (self.modulus == other.modulus and self.n == other.n
                 and all(other.contains(r) for r in self.rows))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearCode):
-            return NotImplemented
-        return (self.modulus == other.modulus and self.n == other.n
-                and self.cardinality == other.cardinality
-                and self.is_subcode_of(other))
-
-    def __hash__(self):
-        return hash((self.modulus, self.n, self.cardinality, self.subtype))
 
     # -- codeword enumeration ----------------------------------------------
 
@@ -459,7 +451,8 @@ class LinearCode:
         if not gens:
             gens = [[0] * n]
         given = tuple(map(tuple, gens))
-        reduced, pivots = _row_reduce(m, gens)
+        # last-first: the form is the same, and fewer rows need clearing
+        reduced, pivots = _row_reduce(m, gens[::-1])
         return LinearCode(m, n, tuple(map(tuple, reduced)), tuple(pivots), given)
 
     # -- equidistance and replication ----------------------------------------

@@ -43,7 +43,7 @@ named witnesses of catalog_mld: a space the theorem allows whole is counted
 but not kept, and each class kept elsewhere is compared with the witnesses.
 The kept set of a whole space is closed under the group, and its orbit
 components are its classes.  Each class root is built from its standard
-generator as it stands, which is its own reduced form, so no root is
+generator as it stands, which is the form LinearCode keeps, so no root is
 reduced twice.  dedup_codes, the pairwise path, serves lists that need not
 be closed.
 """
@@ -526,12 +526,12 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
 
     Codes that differ in modulus, length, subtype (so in cardinality) or
     support subtype are rejected before any codeword is listed, and equal
-    codes are accepted.  Codes with different invariant keys are never
-    equivalent.  Otherwise they are equivalent iff some tuple of codewords
-    of `b`, each with the profile of the matching reduced generator row of
-    `a`, has the same sorted sign-canonical columns as those rows and
-    generates all of `b`.  The tuples are walked in chunks; more than
-    EQUIVALENCE_CAP of them raise BudgetError.
+    codes (equal standard rows) are accepted.  Codes with different
+    invariant keys are never equivalent.  Otherwise they are equivalent iff
+    some tuple of codewords of `b`, each with the profile of the matching
+    standard row of `a`, has the same sorted sign-canonical columns as those
+    rows and generates all of `b`.  The tuples are walked in chunks; more
+    than EQUIVALENCE_CAP of them raise BudgetError.
     """
     if (a.modulus, a.n, a.subtype, a.support_subtype()) != \
             (b.modulus, b.n, b.subtype, b.support_subtype()):
@@ -733,12 +733,13 @@ def _dedup_generators(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
 
 def _standard_codes(space: SearchSpace, G: np.ndarray) -> list[LinearCode]:
     """The LinearCode of each standard generator of G (B, K, n), as the scan
-    emits them, with no second row reduction: a standard generator is its
-    own reduced form, so it gives both the rows and the given rows, and row
-    t pivots at its first entry of valuation v_t, the valuation the subtype
-    fixes for it, as in _standard_forms.  Nothing here checks the form: a
-    generator that is not standard gets rows that are not reduced, and only
-    the orbit walk, on two codes or more, refuses one."""
+    emits them, with no second row reduction: a standard generator is the
+    form codes._row_reduce gives its code, so it gives both the rows and the
+    given rows, and row t pivots at its first entry of valuation v_t, the
+    valuation the subtype fixes for it, as in _standard_forms.  Nothing here
+    checks the form: a generator that is not standard gets rows that are not
+    the code's standard form, so its code equals no code from_generator
+    builds, and only the orbit walk, on two codes or more, refuses one."""
     if not len(G):   # most sweep targets keep no code in a space
         return []
     m, n, valuations = space.modulus, space.n, _pivot_valuations(space)

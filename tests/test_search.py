@@ -13,7 +13,7 @@ import pytest
 
 from leecodes import bounds, search
 from leecodes.bounds import BOUND_IDS, BOUNDS, attainment_check, evaluate_bounds
-from leecodes.codes import BudgetError, LinearCode
+from leecodes.codes import BudgetError, LinearCode, _row_reduce
 from leecodes.ring import Modulus
 from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _generators,
                              _placement_slots, _space_orders, all_subtypes, check_characterization,
@@ -724,18 +724,51 @@ def test_standard_forms_fix_every_scan_generator():
 
 
 def test_standard_codes_match_a_second_reduction():
-    # a scan generator is its own reduced form, so building its code from it
-    # directly gives what a second row reduction gives
+    # a scan generator is the standard form of its code, so building its
+    # code from it directly gives what row reduction gives, and reducing a
+    # seeded random row mix of it gives it back
+    rng = np.random.default_rng(11)
     total = 0
     for space in _FORM_SPACES:
-        m, n = space.modulus, space.n
+        m, n, q = space.modulus, space.n, space.modulus.q
         G = _scan_generators(space)
-        for code, g in zip(search._standard_codes(space, G), G, strict=True):
-            expected = LinearCode.from_generator(m, g.tolist(), n=n)
+        # _row_mixes lists the units of Z/q, too many over Z/2^31 to mix there
+        mixed = (np.einsum("bij,bjn->bin", _row_mixes(rng, q, space.rank, len(G)), G) % q
+                 if q <= 2**16 else G)
+        for code, g, h in zip(search._standard_codes(space, G), G.tolist(), mixed.tolist(),
+                              strict=True):
+            expected = LinearCode.from_generator(m, g, n=n)
             assert (code.rows, code.pivots, code.given_rows) \
                 == (expected.rows, expected.pivots, expected.given_rows), (space, g)
+            assert _row_reduce(m, list(h)) == (g, list(code.pivots)), (space, g, h)
         total += len(G)
     assert total == 80_825
+
+
+def test_random_codes_reduce_to_their_standard_forms():
+    # random generators over larger rings, each row scaled by a random power
+    # of p so that every subtype shows up: a row mix of a generator reduces
+    # to the same rows, which hash alike, the dual of the dual gives them
+    # back, and where no row is redundant they are _standard_forms of it
+    rng = np.random.default_rng(17)
+    total = checked = 0
+    for m in (Modulus(2, 4), Modulus(5, 2), Z27):
+        q = m.q
+        for n, k in itertools.product(range(1, 7), range(1, 4)):
+            G = rng.integers(0, q, (60, k, n)) * m.p ** rng.integers(0, m.s, (60, k, 1)) % q
+            mixed = np.einsum("bij,bjn->bin", _row_mixes(rng, q, k, len(G)), G) % q
+            for g, h in zip(G, mixed):
+                code = LinearCode.from_generator(m, g.tolist())
+                again = LinearCode.from_generator(m, h.tolist())
+                assert again.rows == code.rows and hash(again) == hash(code), (m, g, h)
+                assert code.dual().dual().rows == code.rows, (m, g)
+                if code.rank == k:
+                    space = SearchSpace(m, n, code.subtype)
+                    assert search._standard_forms(space, g[None]).tolist() == [
+                        list(map(list, code.rows))], (m, g)
+                    checked += 1
+                total += 1
+    assert total == 3240 and checked > 0.7 * total
 
 
 def test_unit_inverses_match_pow():
