@@ -79,24 +79,20 @@ def _row_reduce(m: Modulus, work: list[list[int]]):
     done: list[int] = []
     pivots: list[tuple[int, int]] = []
     while active:
-        best = None  # (val, col, row)
+        best = (q, 0, 0)  # (p^val, col, row); gcd(e, q) is p^val(e), and q stands for none
         for c in open_cols:
             for r in active:
                 e = work[r][c]
-                if e == 0:
-                    continue
                 if e % p:
-                    best = (0, c, r)
+                    best = (1, c, r)
                     break
-                v = m.val(e)
-                if best is None or v < best[0]:
-                    best = (v, c, r)
-            if best is not None and best[0] == 0:
+                if e % best[0]:  # nonzero, and of lower valuation than the best
+                    best = (math.gcd(e, q), c, r)
+            if best[0] == 1:
                 break  # a unit in the leftmost eligible column cannot be beaten
-        if best is None:
+        pv, c, r = best
+        if pv == q:
             break
-        v, c, r = best
-        pv = p**v
         row = work[r]
         if row[c] != pv:
             inv = m.unit_inverse(row[c] // pv)
@@ -108,7 +104,7 @@ def _row_reduce(m: Modulus, work: list[list[int]]):
             if f:
                 work[r2] = [(a - f * b) % q for a, b in zip(work[r2], row)]
         done.append(r)
-        pivots.append((c, v))
+        pivots.append((c, m.val(pv)))
         open_cols.remove(c)
     return [work[r] for r in done], pivots
 
@@ -212,16 +208,17 @@ class LinearCode:
         """Build the row span of `rows`; redundant or zero rows are allowed.
         A length below 1, given or inferred, raises ValueError."""
         q = modulus.q
-        given = tuple([tuple([int(e) % q for e in row]) for row in rows])
+        work = [[int(e) % q for e in row] for row in rows]
         if n is None:
-            if not given:
+            if not work:
                 raise ValueError("cannot infer length from an empty generator")
-            n = len(given[0])
+            n = len(work[0])
         if n < 1:
             raise ValueError(f"the code length n = {n} is below 1")
-        if any(len(r) != n for r in given):
+        if any(len(r) != n for r in work):
             raise ValueError("generator rows disagree with the code length")
-        reduced, pivots = _row_reduce(modulus, [list(r) for r in given])
+        given = tuple(map(tuple, work))
+        reduced, pivots = _row_reduce(modulus, work)
         return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given)
 
     @classmethod

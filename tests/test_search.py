@@ -757,17 +757,19 @@ def test_random_codes_reduce_to_their_standard_forms():
         for n, k in itertools.product(range(1, 7), range(1, 4)):
             G = rng.integers(0, q, (60, k, n)) * m.p ** rng.integers(0, m.s, (60, k, 1)) % q
             mixed = np.einsum("bij,bjn->bin", _row_mixes(rng, q, k, len(G)), G) % q
-            for g, h in zip(G, mixed):
-                code = LinearCode.from_generator(m, g.tolist())
-                again = LinearCode.from_generator(m, h.tolist())
+            full = defaultdict(list)   # subtype -> (index, rows) of each code of rank k
+            for i, (g, h) in enumerate(zip(G.tolist(), mixed.tolist())):
+                code = LinearCode.from_generator(m, g)
+                again = LinearCode.from_generator(m, h)
                 assert again.rows == code.rows and hash(again) == hash(code), (m, g, h)
                 assert code.dual().dual().rows == code.rows, (m, g)
                 if code.rank == k:
-                    space = SearchSpace(m, n, code.subtype)
-                    assert search._standard_forms(space, g[None]).tolist() == [
-                        list(map(list, code.rows))], (m, g)
-                    checked += 1
+                    full[code.subtype].append((i, code.rows))
                 total += 1
+            for subtype, kept in full.items():
+                forms = search._standard_forms(SearchSpace(m, n, subtype), G[[i for i, _ in kept]])
+                assert forms.tolist() == [list(map(list, rows)) for _, rows in kept], (m, n, subtype)
+                checked += len(kept)
     assert total == 3240 and checked > 0.7 * total
 
 
