@@ -422,35 +422,79 @@ class LinearCode:
         return self.dual().generator_matrix()
 
     def dual(self) -> "LinearCode":
-        """The dual code, solved by back-substitution over the pivot structure."""
+        """The dual code in standard form, solved by back-substitution over
+        the code's right-to-left pivots; only the code's own rows are reduced.
+
+        The rows are reduced with their columns reversed, so in the code's
+        columns pivot t sits at col_t with entry p^(v_t) and is its row's
+        rightmost entry of least valuation: at selection every active row had
+        valuation > v_t right of col_t, and later clearing keeps that.  With
+        u_t = row_t / p^(v_t), x lies in the dual iff x_(col_t) = -sum over
+        j != col_t of u_t[j] x_j mod p^(s-v_t) for every t; row t is zero at
+        the shallower pivot columns, so the pivots are solved deepest first.
+        One row per free column j has x_j = 1 and the other free columns 0,
+        with pivot (j, 0); one row per pivot t with v_t >= 1 has x_(col_t) =
+        p^(s-v_t), the free columns and deeper pivots 0, with pivot (col_t,
+        s-v_t), and all its entries are multiples of p^(s-v_t).  These are
+        n-K+k_1+...+k_(s-1) rows, as many as the dual's standard form has (its
+        type is (n-K, k_(s-1), ..., k_1), Norton and Salagean 2000), and
+        sorted by (valuation, column) they are that form:
+
+        - each entry solved at col_t is reduced modulo p^(s-v_t), the order
+          of the dual pivot there, and each row is zero at the pivot columns
+          of the rows before it: free columns, deeper pivots, or pivots of its
+          own valuation w, solved modulo p^w from multiples of p^w;
+        - no row has an entry of its own valuation w left of its pivot (for
+          a free row, no unit left of its 1): by induction from the left,
+          each x_(col_t) there sums terms u_t[j] x_j that lie right of col_t,
+          where p divides u_t[j], or left of it, where p^(w+1) divides x_j.
+
+        So _row_reduce would pick these pivots in this order and clear
+        nothing: the dual's rows need no reduction of their own."""
         m = self.modulus
-        q, p, n = m.q, m.p, self.n
-        pivot_set = {c for c, _ in self.pivots}
-        # per pivot, deepest first: its column, the order q/p^v of its entry
-        # and the nonzero (j, row[j]/p^v) off its column
+        q, p, s, n = m.q, m.p, m.s, self.n
+        # the code's rows and pivots with the columns reversed: column c here
+        # is column n-1-c of the code
+        reduced, pivots = _row_reduce(m, [r[::-1] for r in self.rows])
+        last = n - 1
+        # per pivot, deepest first: its column, the order q/p^v of its entry,
+        # its row over p^v and the nonzero (c', row[c']/p^v) at deeper pivots
         steps = []
-        for (c, v), row in zip(reversed(self.pivots), reversed(self.rows)):
+        for t in range(len(pivots) - 1, -1, -1):
+            c, v = pivots[t]
             pv = p**v
-            steps.append((c, q // pv, [(j, e // pv) for j, e in enumerate(row) if e and j != c]))
-        # (c, x_c, first step): one generator per free coordinate, x_c = 1, and
-        # per pivot of valuation v >= 1, x_c = q/p^v with deeper pivots 0; the
-        # steps fill its pivot coordinates, each zero until filled
-        starts = [(c, 1, 0) for c in range(n) if c not in pivot_set]
-        starts += [(c, order, len(steps) - t)
-                   for t, (c, order, _) in enumerate(reversed(steps)) if order < q]
-        gens: list[list[int]] = []
-        for c0, e0, start in starts:
+            u = reduced[t] if v == 0 else [e // pv for e in reduced[t]]
+            steps.append((c, q // pv, u, [(j, u[j]) for j, _ in pivots[t + 1:] if u[j]]))
+        pivot_cols = {c for c, _ in pivots}
+        rows: list[tuple[int, ...]] = []
+        dual_pivots: list[tuple[int, int]] = []
+        # one row per free column, x_c0 = 1, by ascending column of the code;
+        # x is zero at the other free columns, so u[c0] is its only term there
+        for c0 in range(last, -1, -1):
+            if c0 not in pivot_cols:
+                x = [0] * n
+                x[c0] = 1
+                for c, order, u, terms in steps:
+                    acc = u[c0]
+                    for j, f in terms:
+                        acc += f * x[j]
+                    x[c] = -acc % order
+                rows.append(tuple(x[::-1]))
+                dual_pivots.append((last - c0, 0))
+        # one row per pivot of valuation v >= 1, x_c = p^(s-v) with the free
+        # columns and deeper pivots 0, by (s-v, column of the code)
+        for w, col, c0, t in sorted((s - v, last - c, c, t)
+                                    for t, (c, v) in enumerate(pivots) if v):
             x = [0] * n
-            x[c0] = e0
-            for c, order, terms in steps[start:]:
-                x[c] = -sum([f * x[j] for j, f in terms]) % order
-            gens.append(x)
-        if not gens:
-            gens = [[0] * n]
-        given = tuple(map(tuple, gens))
-        # last-first: the form is the same, and fewer rows need clearing
-        reduced, pivots = _row_reduce(m, gens[::-1])
-        return LinearCode(m, n, tuple(map(tuple, reduced)), tuple(pivots), given)
+            x[c0] = p**w
+            for c, order, _, terms in steps[len(steps) - t:]:
+                acc = 0
+                for j, f in terms:
+                    acc += f * x[j]
+                x[c] = -acc % order
+            rows.append(tuple(x[::-1]))
+            dual_pivots.append((col, w))
+        return LinearCode(m, n, tuple(rows), tuple(dual_pivots), tuple(rows) or ((0,) * n,))
 
     # -- equidistance and replication ----------------------------------------
 

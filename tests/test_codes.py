@@ -11,6 +11,7 @@ from leecodes import codes
 from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, _lee_sum_dtype,
                             coefficient_grid, format_code_text, parse_code_text, signed_half,
                             word_table)
+from leecodes.constructions import EquidistantSpec, equidistant_rank1, equidistant_rank2
 from leecodes.report import inspect_code
 from leecodes.ring import Modulus, lee_weight_vec, RingVector
 from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
@@ -428,7 +429,8 @@ def test_one_code_has_one_spelling():
 def back_substitution_dual(code):
     """The dual solved row by row: each row of the parity check fills the
     pivot coordinates from the deepest pivot upwards out of the reduced rows,
-    and the rows go through from_generator.  An oracle for LinearCode.dual."""
+    and the rows go through from_generator, last-first (the same form, with
+    fewer rows to clear on long codes).  An oracle for LinearCode.dual."""
     m = code.modulus
     q, p = m.q, m.p
     pivot_cols = {c for c, _ in code.pivots}
@@ -446,7 +448,33 @@ def back_substitution_dual(code):
     gens = [solve([int(j == c) for j in range(code.n)])
             for c in range(code.n) if c not in pivot_cols]
     gens += [solve([0] * code.n, bump=t) for t, (_, v) in enumerate(code.pivots) if v >= 1]
-    return LinearCode.from_generator(m, gens or [[0] * code.n], n=code.n)
+    return LinearCode.from_generator(m, gens[::-1] or [[0] * code.n], n=code.n)
+
+
+def random_scaled_codes():
+    """Seeded random codes over seven rings, n <= 9 and up to 5 rows, each
+    row scaled by a random power of p, so pivots of every valuation and
+    non-unit entries right of a pivot are common."""
+    rng = random.Random(32)
+    for m in [Modulus(2, 1), Modulus(3, 1), Modulus(2, 4), Z25, Z27, Modulus(3, 4),
+              Modulus(2, 31)]:
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            rows = [[rng.randrange(m.q) * m.p**rng.randint(0, m.s) % m.q for _ in range(n)]
+                    for _ in range(rng.randint(1, 5))]
+            yield LinearCode.from_generator(m, rows)
+
+
+def equidistant_grid_codes(n_max):
+    """The equidistant codes of the library benchmark's grid of length at
+    most n_max: p in (3, 5, 7), s in (2, 3), every level, rank 1 and 2."""
+    for p, s in [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)]:
+        for i in range(1, s + 1):
+            for rank in (1, 2):
+                spec = EquidistantSpec(Modulus(p, s), i, rank)
+                code = (equidistant_rank1 if rank == 1 else equidistant_rank2)(spec)
+                if code.n <= n_max:
+                    yield code
 
 
 def test_dual_matches_back_substitution():
@@ -455,16 +483,48 @@ def test_dual_matches_back_substitution():
         codes_ += [LinearCode.zero(m, n),
                    LinearCode.from_generator(m, [[int(i == j) for j in range(n)] for i in range(n)])]
     assert len(codes_) > 1600
+    equidistant = list(equidistant_grid_codes(300))
+    assert len(equidistant) == 28
+    codes_ += [*random_scaled_codes(), *equidistant]
     for c in codes_:
+        m = c.modulus
         dual, oracle = c.dual(), back_substitution_dual(c)
-        assert (dual.rows, dual.pivots, dual.given_rows) == (
-            oracle.rows, oracle.pivots, oracle.given_rows), c
+        assert (dual.rows, dual.pivots) == (oracle.rows, oracle.pivots), c
+        # a dual has no supplied generator: it is given by its rows
+        assert dual.given_rows == (dual.rows or ((0,) * c.n,)), c
+        for row in c.rows:
+            for drow in dual.rows:
+                assert sum(a * b for a, b in zip(row, drow)) % m.q == 0, c
+        assert c.cardinality * dual.cardinality == m.q**c.n, c
+        assert dual.dual() == c
     # the dual generators that `leecodes inspect` prints for criterion 8's examples
     for m, rows, expected in [(Z5, [[1, 0, 3, 4], [0, 1, 2, 3]], [[1, 0, 2, 2], [0, 1, 4, 2]]),
                               (Z4, [[0, 1, 1], [2, 0, 0], [0, 0, 2]], [[2, 0, 0], [0, 2, 2]])]:
         c = LinearCode.from_generator(m, rows)
         assert inspect_code(c)["dual_generators"] == expected
         assert [list(r) for r in back_substitution_dual(c).rows] == expected
+
+
+def test_dual_row_reduces_only_the_code_rows(monkeypatch):
+    # one reduction of the code's own rank rows, none of the dual's n - K or more
+    calls = []
+
+    def counted(m, work):
+        calls.append(len(work))
+        return row_reduce(m, work)
+
+    row_reduce = codes._row_reduce
+    monkeypatch.setattr(codes, "_row_reduce", counted)
+    checked = 0
+    for m in (Z8, Z9):
+        for n in (1, 2, 3):
+            for subtype in [(0,) * m.s, *all_subtypes(m, n)]:
+                for c in enumerate_codes(SearchSpace(m, n, subtype)):
+                    calls.clear()
+                    c.dual()
+                    assert calls == [c.rank], c
+                    checked += 1
+    assert checked == 1314
 
 
 def test_dual_matches_brute_force_orthogonal_complement():
