@@ -1,5 +1,6 @@
 """Command-line surface: bound evaluation, code inspection, constructions,
-censuses, and reproduction of the published table and figure data.
+censuses, the characterization sweep, and reproduction of the published
+table and figure data.
 
 Exit codes: 0 success, 1 input error, 2 budget refusal, 3 reference mismatch.
 """
@@ -19,7 +20,12 @@ from .codes import BudgetError, LinearCode, format_code_text, parse_code_text
 from .constructions import (EquidistantSpec, catalog_mld, equidistant_rank1,
                             equidistant_rank2, predict_support_subtype)
 from .ring import Modulus
-from .search import CENSUS_BUDGET, SearchSpace, max_lee_distance_census
+from .search import (CENSUS_BUDGET, SearchSpace, check_characterization,
+                     max_lee_distance_census)
+
+SWEEP_RINGS = [Modulus(2, 2), Modulus(5, 1), Modulus(7, 1), Modulus(2, 3), Modulus(3, 2)]
+SWEEP_THEOREMS = ["shiromoto", "z4_singleton", "rank_sb", "alderson_huntemann", "plotkin_rank"]
+SWEEP_KEYS = ["verdict", "extra", "missing", "ceiling_form_extras", "examined"]
 
 
 def _fail(message: str, code: int = 1):
@@ -196,6 +202,21 @@ def cmd_census(p, s, n, subtype, budget):
     """Exhaustive max-d_L census over one (p, s, n, subtype) space."""
     space = SearchSpace(Modulus(p, s), n, _subtype(subtype), budget)
     click.echo(max_lee_distance_census(space).to_json())
+
+
+@main.command("characterize")
+@click.option("--n-max", type=click.IntRange(min=1), required=True, help="largest code length")
+@_exit_codes
+def cmd_characterize(n_max):
+    """Run the five scanning characterization checks (all but
+    rank2_equidistant) over Z/4, Z/5, Z/7, Z/8 and Z/9 at every length up to
+    --n-max; print each verdict, its extra, missing and ceiling-form lists
+    where the check keeps them, and the codes examined, as JSON."""
+    doc = {}
+    for theorem in SWEEP_THEOREMS:
+        report = check_characterization(theorem, SWEEP_RINGS, n_max)
+        doc[theorem] = {key: report[key] for key in SWEEP_KEYS if key in report}
+    click.echo(json.dumps(doc, indent=2))
 
 
 @main.command("table1")

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from leecodes.cli import main
-from leecodes.codes import parse_code_text
+from leecodes.codes import BudgetError, parse_code_text
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(*args, **kw):
@@ -253,15 +256,25 @@ def test_census_of_many_equivalent_optima():
     assert doc["max_lee_distance"] == 2 and len(doc["optimal_generators"]) == 1
 
 
-def test_python_m_runs_from_a_checkout():
+def _python_m(*args):
+    """Run `python -m leecodes` in a real interpreter on this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-m", "leecodes", "census", "--p", "5",
-                           "--n", "2", "--subtype", "1"], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "leecodes", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_runs_from_a_checkout():
+    proc = _python_m("census", "--p", "5", "--n", "2", "--subtype", "1")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["max_lee_distance"] == 3
+
+
+def test_python_m_characterize_runs_from_a_checkout():
+    proc = _python_m("characterize", "--n-max", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["shiromoto"]["verdict"] == "EQUAL"
 
 
 def test_census_past_q_to_the_n_2_63_scales_the_z8_census():
@@ -296,3 +309,42 @@ def test_figure_command_stable():
     assert a.output.splitlines()[0] == "k2,bound_id,value"
     assert "0,chiang_wolf,671" in a.output
     assert "0,shiromoto,1331" in a.output
+
+
+def test_characterize_prints_the_verdicts():
+    res = run("characterize", "--n-max", "2")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert {theorem: report["verdict"] for theorem, report in doc.items()} == {
+        "shiromoto": "EQUAL", "z4_singleton": "EQUAL", "rank_sb": "EXTRA",
+        "alderson_huntemann": "EQUAL", "plotkin_rank": "EQUAL"}
+    assert {theorem: report["examined"] for theorem, report in doc.items()} == {
+        "shiromoto": 97, "z4_singleton": 16, "rank_sb": 97,
+        "alderson_huntemann": 0, "plotkin_rank": 40}
+    socle = ["(Z/3^2, n=2, subtype=(0, 1)): [(3, 3)]"]
+    assert doc["rank_sb"]["extra"] == doc["shiromoto"]["ceiling_form_extras"] == socle
+
+
+def test_characterize_at_n4_matches_the_stored_output():
+    # the whole --n-max 4 document: verdicts, every extra, missing and
+    # ceiling-form entry, and the codes examined per theorem
+    res = run("characterize", "--n-max", "4")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == json.loads((DATA / "characterize_sweep_n4.json").read_text())
+
+
+def test_characterize_refuses_a_length_below_1():
+    res = run("characterize", "--n-max", "0")
+    assert res.exit_code == 2 and "--n-max" in res.stderr
+
+
+@pytest.mark.parametrize("exc, code", [(BudgetError("space over the budget"), 2),
+                                       (ValueError("space over the budget"), 1)])
+def test_characterize_turns_a_failure_into_one_error_line(monkeypatch, exc, code):
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr("leecodes.cli.check_characterization", refuse)
+    res = run("characterize", "--n-max", "1")
+    assert res.exit_code == code
+    assert (res.stdout, res.stderr) == ("", "error: space over the budget\n")

@@ -23,7 +23,7 @@ def test_readme_command_lines_exit_0(tmp_path, monkeypatch):
     made = CliRunner().invoke(main, shlex.split("construct mld --p 2 --s 3 --n 4 -o mycode.code"))
     assert made.exit_code == 0 and (tmp_path / "mycode.code").exists()
     lines = _block("Command line", "bash")
-    assert len(lines) == 8
+    assert len(lines) == 9
     for line in lines:
         words = shlex.split(line, comments=True)
         assert words[0] == "leecodes", line
