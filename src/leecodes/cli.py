@@ -12,7 +12,6 @@ import json
 import sys
 
 import click
-from click.core import ParameterSource
 
 from . import report as report_mod
 from .bounds import CodeParams, evaluate_bounds
@@ -87,7 +86,7 @@ def main():
 @main.command("bounds")
 @click.option("--file", "path", type=str, default=None, help="code file to evaluate")
 @click.option("--p", type=int, default=None)
-@click.option("--s", type=int, default=1, show_default=True)
+@click.option("--s", type=int, default=None, help="[default: 1]")
 @click.option("--n", type=int, default=None)
 @click.option("--subtype", default=None, help="comma-separated k_1,...,k_s")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON instead of a table")
@@ -95,9 +94,7 @@ def main():
 def cmd_bounds(path, p, s, n, subtype, as_json):
     """Evaluate every bound for a parameter set or a concrete code."""
     if path is not None:
-        # --s has a default, so only its source tells whether it was given
-        s_given = click.get_current_context().get_parameter_source("s") != ParameterSource.DEFAULT
-        if (p, n, subtype) != (None, None, None) or s_given:
+        if (p, s, n, subtype) != (None, None, None, None):
             raise ValueError("--file takes no --p, --n or --subtype, nor --s: the code sets them")
         code = _load_code(path)
         cells = evaluate_bounds(code)
@@ -105,7 +102,7 @@ def cmd_bounds(path, p, s, n, subtype, as_json):
     else:
         if p is None or n is None or subtype is None:
             raise ValueError("need --file, or --p/--n with a subtype")
-        m = Modulus(p, s)
+        m = Modulus(p, 1 if s is None else s)
         st = _subtype(subtype)
         params = CodeParams.from_subtype(m, n, st)
         cells = evaluate_bounds(params)

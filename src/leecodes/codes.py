@@ -283,8 +283,15 @@ class LinearCode:
     # -- membership --------------------------------------------------------
 
     def contains(self, vec) -> bool:
+        """Whether `vec` is a codeword.  A plain sequence is read as integers
+        mod q; a RingVector over another modulus raises ValueError."""
         q, p = self.modulus.q, self.modulus.p
-        v = [int(e) % q for e in (vec.entries if isinstance(vec, RingVector) else vec)]
+        if isinstance(vec, RingVector):
+            if vec.modulus != self.modulus:
+                raise ValueError(f"a vector over {vec.modulus} is no word of a code "
+                                 f"over {self.modulus}")
+            vec = vec.entries
+        v = [int(e) % q for e in vec]
         if len(v) != self.n:
             raise ValueError("length mismatch")
         for row, (c, val) in zip(self.rows, self.pivots):

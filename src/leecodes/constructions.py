@@ -177,7 +177,14 @@ def catalog_mld(m: Modulus, n: int) -> list[LinearCode]:
     attainer classes of one of them, besides the spaces each allows whole;
     `shiromoto` and `z4_singleton` list a witness that misses their bound
     as missing; `leecodes construct mld` prints them.  A length below 1
-    raises ValueError."""
+    raises ValueError.
+
+    Each witness is the first code of its signed-permutation class in the
+    generator order of search.enumerate_codes and the scan, so it is the
+    class root the characterization sweep hands back, and the checks name a
+    class by equality with a witness: <(M, ..., M)> and the Z/4 even-sum
+    dual are alone in their classes, and <(1,2)> over Z/5 comes before
+    <(1,3)>, the other code of its class."""
     if n < 1:
         raise ValueError(f"the code length n = {n} is below 1")
     out: list[LinearCode] = []

@@ -72,7 +72,10 @@ def _figure_params(m: Modulus, k1: int, k2: int) -> CodeParams:
 
 
 def figure_points(fig_id: int) -> dict[str, list[int]]:
-    """The five plotted curves of one figure, 16 integer points each."""
+    """The five plotted curves of one figure, 16 integer points each.  A
+    figure id other than 1, 2 and 3 raises ValueError."""
+    if fig_id not in FIGURE_SPECS:
+        raise ValueError(f"unknown figure id {fig_id!r}: the figures are 1, 2 and 3")
     m, k1 = FIGURE_SPECS[fig_id]
     points = [_figure_params(m, k1, k2) for k2 in K2_RANGE]
     return {name: [read(params) for params in points]

@@ -40,12 +40,13 @@ characterization sweep takes one interval per space, counts its codes, and
 where the space is kept decodes them and hands the check their classes.  A
 characterization's predicted family is a filter on its target plus the
 named witnesses of catalog_mld: a space the theorem allows whole is counted
-but not kept, and each class kept elsewhere is compared with the witnesses.
-The kept set of a whole space is closed under the group, and its orbit
-components are its classes.  Each class root is built from its standard
+but not kept, and a class kept elsewhere is named when its root equals a
+witness.  The kept set of a whole space is closed under the group, and its
+orbit components are its classes.  Each class root, the first code of its
+class in generator order as every witness is, is built from its standard
 generator as it stands, which is the form LinearCode keeps, so no root is
-reduced twice.  dedup_codes, the pairwise path, serves lists that need not
-be closed.
+reduced twice.  signed_perm_equivalent and dedup_codes are plain pairwise
+references that no library path calls.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .ring import Modulus
 CENSUS_BUDGET = 10**8
 ENUMERATION_CHUNK = 4096      # generators decoded, or rank-2 check scalars, at a time
 SCAN_CHUNK_CELLS = 16_000_000  # scan_space chunks: this // (width * n) codes, width Lee sums each
-EQUIVALENCE_CHUNK = 256       # generator tuples per step of the equivalence search
 EQUIVALENCE_CAP = 500_000     # generator tuples one equivalence check may walk
 
 __all__ = [
@@ -507,20 +507,6 @@ def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
 
 # -- equivalence ---------------------------------------------------------------
 
-def _sorted_columns(gens: np.ndarray, q: int) -> np.ndarray:
-    """The columns of each generator tuple of `gens` (B, K, n), each replaced
-    by the lexicographically smaller of itself and its negative, then sorted
-    lexicographically: shape (B, n, K).  Two tuples get the same array iff
-    one is a signed column permutation of the other."""
-    B, K, n = gens.shape
-    cols = gens.transpose(0, 2, 1).reshape(B * n, K)
-    neg = (-cols) % q
-    at = np.arange(B * n), (cols != neg).argmax(axis=1)
-    cols = np.where((cols[at] > neg[at])[:, None], neg, cols)
-    order = np.lexsort((*cols.T[::-1], np.repeat(np.arange(B), n)))
-    return cols[order].reshape(B, n, K)
-
-
 def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
     """Equivalence under coordinate permutations composed with sign flips.
 
@@ -529,9 +515,12 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
     codes (equal standard rows) are accepted.  Codes with different
     invariant keys are never equivalent.  Otherwise they are equivalent iff
     some tuple of codewords of `b`, each with the profile of the matching
-    standard row of `a`, has the same sorted sign-canonical columns as those
-    rows and generates all of `b`.  The tuples are walked in chunks; more
-    than EQUIVALENCE_CAP of them raise BudgetError.
+    standard row of `a`, has the same sorted sign-canonical columns
+    (min(col, -col) per column) as those rows, as such a tuple generates all
+    of `b`.  The pool sizes are read from the profile masks, and more than
+    EQUIVALENCE_CAP tuples raise BudgetError before any pool is listed.
+    This is a plain reference for the tests: the library classes codes by
+    the orbit walk of _dedup_generators, and names witnesses by equality.
     """
     if (a.modulus, a.n, a.subtype, a.support_subtype()) != \
             (b.modulus, b.n, b.subtype, b.support_subtype()):
@@ -540,46 +529,34 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
         return True
     if a.invariant_key != b.invariant_key:
         return False
-    m = a.modulus
-    rows = np.array(a.rows, dtype=np.int64)
-    words = b.codeword_array()
-    match = (word_profiles(m, rows)[:, None, :] == b.codeword_profiles[None, :, :]).all(axis=2)
-    pools = [words[mask] for mask in match]
-    sizes = [len(pool) for pool in pools]
-    total = math.prod(sizes)
+    q = a.modulus.q
+    profiles = word_profiles(a.modulus, np.array(a.rows, dtype=np.int64))
+    match = (profiles[:, None, :] == b.codeword_profiles[None, :, :]).all(axis=2)
+    total = math.prod(np.count_nonzero(mask) for mask in match)
     if total > EQUIVALENCE_CAP:
         raise BudgetError(f"equivalence search space too large ({total} tuples)")
-    target = _sorted_columns(rows[None], m.q)
-    K, n = rows.shape
-    for start in range(0, total, EQUIVALENCE_CHUNK):
-        idx = np.arange(start, min(start + EQUIVALENCE_CHUNK, total), dtype=np.int64)
-        tuples = np.empty((len(idx), K, n), dtype=np.int64)
-        for i in reversed(range(K)):
-            tuples[:, i] = pools[i][idx % sizes[i]]
-            idx //= sizes[i]
-        # a match is a signed permutation of a's rows inside b, so it spans
-        # |a| = |b| codewords: all of b
-        if (_sorted_columns(tuples, m.q) == target).all(axis=(1, 2)).any():
-            return True
-    return False
+    pools = [b.codeword_array()[mask].tolist() for mask in match]
+
+    def columns(words):
+        return sorted(min(col, tuple(-e % q for e in col)) for col in zip(*words))
+
+    # a match is a signed permutation of a's rows inside b, so it spans
+    # |a| = |b| codewords: all of b
+    target = columns(a.rows)
+    return any(columns(words) == target for words in itertools.product(*pools))
 
 
 def dedup_codes(codes: list[LinearCode]) -> list[LinearCode]:
     """One representative per signed-permutation class, preserving order:
-    the first-seen member of each class, in input order.
+    the first-seen member of each class, in input order, each code compared
+    with signed_perm_equivalent against the representatives kept before it.
 
-    Each code is compared only with the representatives that share its
-    invariant key; all others are inequivalent to it.  This is the pairwise
-    path, for lists that need not be closed under the group; the scans'
-    optima and attainers are closed, and go through _dedup_generators."""
-    if len(codes) < 2:
-        return list(codes)  # nothing to compare, so no key to compute
+    This is the pairwise reference for lists that need not be closed under
+    the group, and the tests' oracle for the orbit walk: the scans' optima
+    and attainers are closed, and go through _dedup_generators."""
     unique: list[LinearCode] = []
-    buckets: dict[tuple, list[LinearCode]] = {}
     for c in codes:
-        bucket = buckets.setdefault(c.invariant_key, [])
-        if not any(signed_perm_equivalent(c, u) for u in bucket):
-            bucket.append(c)
+        if not any(signed_perm_equivalent(c, u) for u in unique):
             unique.append(c)
     return unique
 
@@ -823,12 +800,6 @@ def _catalogs(rings, n_max: int) -> dict:
     return {(m, n): catalog_mld(m, n) for m in rings for n in range(1, n_max + 1)}
 
 
-def _named(catalogs: dict, c: LinearCode) -> bool:
-    """Whether c is a named witness of its ring and length up to signed
-    permutation."""
-    return any(signed_perm_equivalent(c, w) for w in catalogs[c.modulus, c.n])
-
-
 def _check_shiromoto(rings, n_max, budget) -> dict:
     """Attainers of the Shiromoto bound in its original type form, i.e. codes
     with d_L > M(n - k) for the exact rational type k.
@@ -892,7 +863,7 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
             continue
         strict, (_, ceiling) = type_form_max_d(space.params), _spans(space)["shiromoto"]
         for c in classes:
-            if _named(catalogs, c):
+            if c in catalogs[m, space.n]:
                 continue
             d, entry = c.min_lee_distance(), f"{space}: {list(c.rows)}"
             if d >= strict:
@@ -912,11 +883,12 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
     (other rings are skipped).  The family is the ambient space, the free
     rank-n space, which is scanned and counted but keeps no code, and the
     named witnesses of catalog_mld.  An attainer class whose root is no
-    witness up to signed permutation is extra, and a witness that does not
-    attain the bound is missing.  Each member is alone in its class, as
-    <(2, ..., 2)>, its dual {x : sum x_i even} and the ambient space are
-    fixed by every coordinate permutation and sign flip, so comparing
-    classes gives the answer that comparing codes would."""
+    witness is extra, and a witness that does not attain the bound is
+    missing.  Each member is alone in its class, as <(2, ..., 2)>, its dual
+    {x : sum x_i even} and the ambient space are fixed by every coordinate
+    permutation and sign flip, so each witness is its class's root, and
+    comparing roots with the witnesses by equality gives the answer that
+    comparing codes would."""
     extra: list[str] = []
     examined = 0
     z4 = [m for m in rings if (m.p, m.s) == (2, 2)]
@@ -924,7 +896,8 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
     target = _bound_target("z4_singleton", lambda space: space.subtype == (space.n, 0))
     for space, _, classes, scanned, _ in _sweep(_spaces(z4, n_max, budget), target):
         examined += scanned
-        extra.extend(f"n={space.n}: {list(c.rows)}" for c in classes if not _named(catalogs, c))
+        extra.extend(f"n={space.n}: {list(c.rows)}" for c in classes
+                     if c not in catalogs[space.modulus, space.n])
     missing = [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
                for w in witnesses if not attainment_check(w, "z4_singleton")]
     return {"theorem": "z4_singleton", "verdict": _verdict(extra, missing), "extra": extra,
@@ -946,7 +919,8 @@ def _check_rank_sb(rings, n_max, budget) -> dict:
         examined += scanned
         if space.rank == space.n:
             vacuous_failures += scanned - count
-        extra.extend(f"{space}: {list(c.rows)}" for c in classes if not _named(catalogs, c))
+        extra.extend(f"{space}: {list(c.rows)}" for c in classes
+                     if c not in catalogs[space.modulus, space.n])
     return {"theorem": "rank_sb", "verdict": _verdict(extra or vacuous_failures),
             "extra": extra, "vacuous_failures": vacuous_failures, "examined": examined}
 

@@ -82,8 +82,8 @@ def test_bounds_refuses_a_file_with_parameters(tmp_path):
 
 
 def test_bounds_refuses_a_file_with_an_explicit_s(tmp_path):
-    # --s has a default, so it is refused next to --file only when given,
-    # even at the default value
+    # --s defaults to None, read as 1 in parameter mode, so next to --file
+    # any given --s is refused, even one equal to 1
     path = tmp_path / "c.code"
     path.write_text("5 1 2\n1 2\n")
     alone = run("bounds", "--file", str(path))

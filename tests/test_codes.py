@@ -413,6 +413,11 @@ def test_membership():
         assert c.contains(w)
     assert not c.contains([0, 1, 0])
     assert c.socle().is_subcode_of(c)
+    # a plain sequence is read as integers mod q, but a vector over another
+    # ring is refused: the Z/9 entries (4, 5, 5) would read as (0, 1, 1)
+    assert c.contains([4, 5, 5])
+    with pytest.raises(ValueError, match=r"over Z/3\^2 is no word of a code over Z/2\^2"):
+        c.contains(RingVector(Z9, (4, 5, 5)))
 
 
 def test_one_code_has_one_spelling():

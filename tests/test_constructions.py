@@ -9,7 +9,7 @@ from leecodes.constructions import (EquidistantSpec, catalog_mld,
                                     predict_generator_subtypes,
                                     predict_support_subtype, sign_class_reps)
 from leecodes.ring import Modulus
-from leecodes.search import signed_perm_equivalent
+from leecodes.search import SearchSpace, enumerate_codes, signed_perm_equivalent
 
 Z4 = Modulus(2, 2)
 Z5 = Modulus(5, 1)
@@ -218,6 +218,22 @@ def test_catalog_mld():
             for w in catalog_mld(m, n):
                 assert w.min_lee_distance() >= type_form_max_d(CodeParams.from_code(w)), (m, n)
                 assert w.rank == n or attainment_check(w, "shiromoto_rank"), (m, n)
+
+
+def test_each_catalog_witness_is_the_first_code_of_its_class():
+    # the characterization checks name a class by equality of its root, the
+    # first code of the class in generator order, with a witness
+    rings = [Modulus(p, s) for p, s in
+             [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5)]]
+    witnesses = 0
+    for m in rings:
+        for n in range(1, 7):
+            for w in catalog_mld(m, n):
+                space = SearchSpace(m, n, w.subtype)
+                first = next(c for c in enumerate_codes(space) if signed_perm_equivalent(c, w))
+                assert first == w, (m, n, w.rows)
+                witnesses += 1
+    assert witnesses == 30
 
 
 @pytest.mark.parametrize("n", [0, -2])

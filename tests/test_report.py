@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from leecodes.report import (FIGURE_CURVES, figure_csv, figure_points,
                              reference_table, table_csv, table_report)
 
@@ -38,6 +40,13 @@ def test_figure_csv_shape_and_stability():
     assert lines[0] == "k2,bound_id,value"
     assert len(lines) == 1 + 5 * 16
     assert "0,chiang_wolf,104" in lines
+
+
+@pytest.mark.parametrize("fig_id", [0, 4, "1"])
+def test_an_unknown_figure_id_is_refused(fig_id):
+    for emit in (figure_points, figure_csv):
+        with pytest.raises(ValueError, match="the figures are 1, 2 and 3"):
+            emit(fig_id)
 
 
 def test_table_bound_columns_and_anomalies():

@@ -86,3 +86,26 @@ def test_every_private_name_is_used_in_the_library():
               if not reads.get(name, set()) - {(file, tree.body.index(node))}]
     assert trees
     assert not unused, unused
+
+
+# the pairwise equivalence check, its first-seen loop and the scalar
+# enumeration are references the tests compare the library with
+REFERENCES = {"signed_perm_equivalent", "dedup_codes", "enumerate_codes"}
+
+
+def test_no_library_path_reads_the_references():
+    # a reference reads only the others; every library path classes codes
+    # by the orbit walk, names witnesses by equality and scans by index
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if getattr(node, "name", None) in REFERENCES:
+                continue
+            for leaf in ast.walk(node):
+                name = leaf.id if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load) \
+                    else leaf.attr if isinstance(leaf, ast.Attribute) else None
+                if name in REFERENCES:
+                    found.append(f"{path.name}: {getattr(node, 'name', node.lineno)} reads {name}")
+    assert list(SOURCE.glob("*.py"))
+    assert not found, found
