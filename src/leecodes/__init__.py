@@ -6,7 +6,7 @@ small parameter spaces, all in exact integer/rational arithmetic.
 """
 
 from .bounds import CodeParams, attainment_check, coefficient_A, evaluate_bounds
-from .codes import (BudgetError, CodeMatrix, LinearCode, TrivialCodeError,
+from .codes import (BudgetError, LinearCode, TrivialCodeError,
                     format_code_text, parse_code_text)
 from .constructions import (EquidistantSpec, catalog_mld, equidistant_rank1,
                             equidistant_rank2, predict_generator_subtypes,
@@ -22,7 +22,7 @@ from .search import (CensusResult, SearchSpace, check_characterization,
 __all__ = [
     "Modulus", "RingVector", "lee_weight_elem", "lee_weight_vec",
     "hamming_weight_vec", "ideal_total_weight", "ambient_average_weight",
-    "gray_map", "CodeMatrix", "LinearCode", "BudgetError", "TrivialCodeError",
+    "gray_map", "LinearCode", "BudgetError", "TrivialCodeError",
     "parse_code_text", "format_code_text", "CodeParams", "coefficient_A",
     "evaluate_bounds", "attainment_check", "EquidistantSpec",
     "equidistant_rank1", "equidistant_rank2", "predict_support_subtype",

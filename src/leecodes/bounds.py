@@ -101,7 +101,7 @@ class CodeParams:
 
     @classmethod
     def from_subtype(cls, modulus: Modulus, n: int, subtype, ell=None) -> "CodeParams":
-        subtype = _check_subtype(modulus, n, subtype)
+        n, subtype = _check_subtype(modulus, n, subtype)
         return cls(modulus, n, subtype_type_k(subtype), sum(subtype), subtype[0], ell)
 
     @classmethod
@@ -109,22 +109,23 @@ class CodeParams:
         return cls(code.modulus, code.n, code.type_k, code.rank, code.free_rank, ell)
 
 
-def _check_subtype(modulus: Modulus, n: int, subtype) -> tuple[int, ...]:
-    """Read a subtype: return it as a tuple of Python ints, or refuse, with
-    ValueError, a length and subtype that no code has.  A code has length
-    n >= 1, and its subtype s integer entries, each at least 0, of sum (the
-    rank) at most n.  This is the only reader of a subtype; `CodeParams` and
-    `SearchSpace` keep what it returns."""
+def _check_subtype(modulus: Modulus, n: int, subtype) -> tuple[int, tuple[int, ...]]:
+    """Read a length and subtype: return them as Python ints, (n, subtype),
+    or refuse, with ValueError, a length and subtype that no code has.  A
+    code has an integer length n >= 1, and its subtype s integer entries,
+    each at least 0, of sum (the rank) at most n.  This is the only reader
+    of a subtype; `CodeParams` and `SearchSpace` keep what it returns."""
     subtype = tuple(subtype)
     try:
-        entries = tuple(map(operator.index, subtype))
-        valid = n >= 1 and len(entries) == modulus.s and min(entries) >= 0 and sum(entries) <= n
+        length, entries = operator.index(n), tuple(map(operator.index, subtype))
+        valid = (length >= 1 and len(entries) == modulus.s and min(entries) >= 0
+                 and sum(entries) <= length)
     except TypeError:
         valid = False
     if not valid:
         raise ValueError(f"no code over {modulus} has length n = {n} and subtype {subtype}: "
                          f"need n >= 1 and {modulus.s} integer entries >= 0 of sum at most n")
-    return entries
+    return length, entries
 
 
 def coefficient_A(m: Modulus, i: int) -> Fraction:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ring import Modulus, RingVector, ideal_total_weight
+from .ring import Modulus, RingVector, exact_int, ideal_total_weight
 
 ENUMERATION_BUDGET = 2**24
 
@@ -38,27 +38,6 @@ def check_codewords(count: int, what: str, *args):
 
 class TrivialCodeError(ValueError):
     """Raised when a distance is requested for the zero code."""
-
-
-@dataclass(frozen=True)
-class CodeMatrix:
-    """An exact integer matrix with entries reduced mod p^s."""
-
-    modulus: Modulus
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        q = self.modulus.q
-        ncols = {len(r) for r in self.rows}
-        if len(ncols) > 1:
-            raise ValueError("ragged matrix")
-        for r in self.rows:
-            if any(not (0 <= e < q) for e in r):
-                raise ValueError("matrix entries must be reduced into [0, q-1]")
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
 
 
 def _row_reduce(m: Modulus, work: list[list[int]]):
@@ -206,13 +185,15 @@ class LinearCode:
     @classmethod
     def from_generator(cls, modulus: Modulus, rows, n: int | None = None) -> "LinearCode":
         """Build the row span of `rows`; redundant or zero rows are allowed.
-        A length below 1, given or inferred, raises ValueError."""
+        The entries, read mod q, and a given length n are integers; anything
+        else, and a length below 1, given or inferred, raise ValueError."""
         q = modulus.q
-        work = [[int(e) % q for e in row] for row in rows]
+        work = [[exact_int(e, "generator entry") % q for e in row] for row in rows]
         if n is None:
             if not work:
                 raise ValueError("cannot infer length from an empty generator")
             n = len(work[0])
+        n = exact_int(n, "the code length n =")
         if n < 1:
             raise ValueError(f"the code length n = {n} is below 1")
         if any(len(r) != n for r in work):
@@ -220,10 +201,6 @@ class LinearCode:
         given = tuple(map(tuple, work))
         reduced, pivots = _row_reduce(modulus, work)
         return cls(modulus, n, tuple(map(tuple, reduced)), tuple(pivots), given)
-
-    @classmethod
-    def from_matrix(cls, mat: CodeMatrix) -> "LinearCode":
-        return cls.from_generator(mat.modulus, mat.rows, n=mat.ncols)
 
     @classmethod
     def zero(cls, modulus: Modulus, n: int) -> "LinearCode":
@@ -260,52 +237,41 @@ class LinearCode:
         p, s = self.modulus.p, self.modulus.s
         return tuple(p ** (s - v) for _, v in self.pivots)
 
-    def generator_matrix(self) -> CodeMatrix:
-        return CodeMatrix(self.modulus, self.rows if self.rows else ((0,) * self.n,))
-
     # -- systematic form ---------------------------------------------------
 
-    def systematic_form(self) -> tuple[CodeMatrix, tuple[int, ...]]:
-        """Column-permuted generator in block-triangular shape.
+    def systematic_form(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """Column-permuted generator rows in block-triangular shape.
 
-        Returns (matrix, perm) where perm[j] is the original index of column j
-        of the returned matrix: pivot columns first in block order, then the
-        remaining columns in ascending order.
+        Returns (rows, perm) where perm[j] is the original index of column j
+        of the returned rows: pivot columns first in block order, then the
+        remaining columns in ascending order.  The zero code gives a zero row.
         """
         pivot_cols = [c for c, _ in self.pivots]
         rest = [c for c in range(self.n) if c not in set(pivot_cols)]
         perm = tuple(pivot_cols + rest)
         rows = tuple(tuple(row[j] for j in perm) for row in self.rows)
-        if not rows:
-            rows = ((0,) * self.n,)
-        return CodeMatrix(self.modulus, rows), perm
+        return rows or ((0,) * self.n,), perm
 
     # -- membership --------------------------------------------------------
 
     def contains(self, vec) -> bool:
-        """Whether `vec` is a codeword.  A plain sequence is read as integers
-        mod q; a RingVector over another modulus raises ValueError."""
-        q, p = self.modulus.q, self.modulus.p
+        """Whether `vec` is a codeword: whether the standard form is kept when
+        it joins the rows, read as from_generator reads them.  A RingVector
+        over another modulus and a vector of another length raise ValueError."""
         if isinstance(vec, RingVector):
             if vec.modulus != self.modulus:
                 raise ValueError(f"a vector over {vec.modulus} is no word of a code "
                                  f"over {self.modulus}")
             vec = vec.entries
-        v = [int(e) % q for e in vec]
-        if len(v) != self.n:
+        if len(vec) != self.n:
             raise ValueError("length mismatch")
-        for row, (c, val) in zip(self.rows, self.pivots):
-            pv = p**val
-            if v[c] % pv:
-                return False
-            f = v[c] // pv
-            if f:
-                v = [(a - f * b) % q for a, b in zip(v, row)]
-        return not any(v)
+        return LinearCode.from_generator(self.modulus, [*self.rows, vec], n=self.n) == self
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
-        return (self.modulus == other.modulus and self.n == other.n
-                and all(other.contains(r) for r in self.rows))
+        """Whether other's standard form is kept when these rows join it."""
+        rows = [*other.rows, *self.rows]
+        return (self.modulus == other.modulus and self.n == other.n and
+                LinearCode.from_generator(other.modulus, rows, n=self.n) == other)
 
     # -- codeword enumeration ----------------------------------------------
 
@@ -352,18 +318,6 @@ class LinearCode:
     def codeword_profiles(self) -> np.ndarray:
         """The word_profiles of all codewords, in codeword_array() order."""
         return word_profiles(self.modulus, self.codeword_array())
-
-    @cached_property
-    def invariant_key(self) -> tuple:
-        """Hashable invariants under signed coordinate permutations: modulus,
-        length, subtype, support subtype and the multiset of codeword
-        profiles (which fixes the Lee weight enumerator)."""
-        profiles = self.codeword_profiles
-        profiles = profiles[np.lexsort(profiles.T[::-1])]
-        firsts = np.flatnonzero(np.r_[True, (profiles[1:] != profiles[:-1]).any(axis=1)])
-        counts = np.diff(firsts, append=len(profiles))
-        return (self.modulus, self.n, self.subtype, self.support_subtype(),
-                profiles[firsts].tobytes(), counts.tobytes())
 
     def _nonzero_weights(self) -> tuple[np.ndarray, np.ndarray]:
         if self.cardinality < 2:
@@ -424,9 +378,10 @@ class LinearCode:
             gens = [[0] * self.n]
         return LinearCode.from_generator(self.modulus, gens, n=self.n)
 
-    def parity_check(self) -> CodeMatrix:
-        """A generator matrix of the dual code (so G . H^T = 0)."""
-        return self.dual().generator_matrix()
+    def parity_check(self) -> tuple[tuple[int, ...], ...]:
+        """The dual code's standard rows H, so that G . H^T = 0; one zero row
+        when the dual is the zero code."""
+        return self.dual().rows or ((0,) * self.n,)
 
     def dual(self) -> "LinearCode":
         """The dual code in standard form, solved by back-substitution over

@@ -6,6 +6,7 @@ deliberately never used, so that downstream bound computations are bit-exact.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,16 @@ __all__ = [
 ]
 
 MAX_Q = 2**31
+
+
+def exact_int(value, what: str) -> int:
+    """`value` as a Python int, read through operator.index so that numpy
+    integers pass; a float, a string or any other value raises ValueError
+    naming `what` and the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def is_prime(n: int) -> bool:
@@ -50,6 +61,8 @@ class Modulus:
     M: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", exact_int(self.p, "p ="))
+        object.__setattr__(self, "s", exact_int(self.s, "s ="))
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.s < 1:
@@ -85,13 +98,16 @@ class Modulus:
 
 @dataclass(frozen=True)
 class RingVector:
-    """A vector with entries in [0, q-1] over a fixed modulus."""
+    """A vector with entries in [0, q-1] over a fixed modulus, kept as
+    Python ints."""
 
     modulus: Modulus
     entries: tuple[int, ...]
 
     def __post_init__(self):
         q = self.modulus.q
+        object.__setattr__(self, "entries",
+                           tuple(exact_int(e, "vector entry") for e in self.entries))
         if any(not (0 <= e < q) for e in self.entries):
             raise ValueError("vector entries must be reduced into [0, q-1]")
 
@@ -107,6 +123,7 @@ class RingVector:
 
 def lee_weight_elem(m: Modulus, a: int) -> int:
     """Lee weight of a single element: min(a, q - a) for a in [0, q-1]."""
+    a = exact_int(a, "element")
     if not (0 <= a < m.q):
         raise ValueError(f"element {a} out of range [0, {m.q - 1}]")
     return min(a, m.q - a)

@@ -98,7 +98,9 @@ class SearchSpace:
     budget: int = field(default=CENSUS_BUDGET, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "subtype", _check_subtype(self.modulus, self.n, self.subtype))
+        n, subtype = _check_subtype(self.modulus, self.n, self.subtype)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subtype", subtype)
 
     @property
     def rank(self) -> int:
@@ -512,9 +514,8 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
 
     Codes that differ in modulus, length, subtype (so in cardinality) or
     support subtype are rejected before any codeword is listed, and equal
-    codes (equal standard rows) are accepted.  Codes with different
-    invariant keys are never equivalent.  Otherwise they are equivalent iff
-    some tuple of codewords of `b`, each with the profile of the matching
+    codes (equal standard rows) are accepted.  Otherwise they are equivalent
+    iff some tuple of codewords of `b`, each with the profile of the matching
     standard row of `a`, has the same sorted sign-canonical columns
     (min(col, -col) per column) as those rows, as such a tuple generates all
     of `b`.  The pool sizes are read from the profile masks, and more than
@@ -527,8 +528,6 @@ def signed_perm_equivalent(a: LinearCode, b: LinearCode) -> bool:
         return False
     if a == b:
         return True
-    if a.invariant_key != b.invariant_key:
-        return False
     q = a.modulus.q
     profiles = word_profiles(a.modulus, np.array(a.rows, dtype=np.int64))
     match = (profiles[:, None, :] == b.codeword_profiles[None, :, :]).all(axis=2)
@@ -879,22 +878,20 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
 
 
 def _check_z4_singleton(rings, n_max, budget) -> dict:
-    """Attainers of the Z/4 Singleton-type bound over each Z/4 of `rings`
-    (other rings are skipped).  The family is the ambient space, the free
-    rank-n space, which is scanned and counted but keeps no code, and the
-    named witnesses of catalog_mld.  An attainer class whose root is no
-    witness is extra, and a witness that does not attain the bound is
-    missing.  Each member is alone in its class, as <(2, ..., 2)>, its dual
-    {x : sum x_i even} and the ambient space are fixed by every coordinate
-    permutation and sign flip, so each witness is its class's root, and
-    comparing roots with the witnesses by equality gives the answer that
-    comparing codes would."""
+    """Attainers of the Z/4 Singleton-type bound over Z/4, the one ring it
+    reads.  The family is the ambient space, the free rank-n space, which is
+    scanned and counted but keeps no code, and the named witnesses of
+    catalog_mld.  An attainer class whose root is no witness is extra, and a
+    witness that does not attain the bound is missing.  Each member is alone
+    in its class, as <(2, ..., 2)>, its dual {x : sum x_i even} and the
+    ambient space are fixed by every coordinate permutation and sign flip,
+    so each witness is its class's root, and comparing roots with the
+    witnesses by equality gives the answer that comparing codes would."""
     extra: list[str] = []
     examined = 0
-    z4 = [m for m in rings if (m.p, m.s) == (2, 2)]
-    catalogs = _catalogs(z4, n_max)
+    catalogs = _catalogs(rings, n_max)
     target = _bound_target("z4_singleton", lambda space: space.subtype == (space.n, 0))
-    for space, _, classes, scanned, _ in _sweep(_spaces(z4, n_max, budget), target):
+    for space, _, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
         examined += scanned
         extra.extend(f"n={space.n}: {list(c.rows)}" for c in classes
                      if c not in catalogs[space.modulus, space.n])
@@ -976,8 +973,7 @@ def _check_plotkin_rank(rings, n_max, budget) -> dict:
         # an integer distance can never meet a fractional value exactly
         return bound(space) if value.denominator == 1 else None
 
-    odd = [m for m in rings if m.p != 2]
-    for space, count, _, scanned, _ in _sweep(_spaces(odd, n_max, budget), target):
+    for space, count, _, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
         examined += scanned
         attainers += count
         if count and not family(space):
@@ -1041,6 +1037,13 @@ _CHECKS = {
     "rank2_equidistant": _check_rank2_equidistant,
 }
 
+# the rings a check reads, where it does not read every ring
+_READS = {
+    "z4_singleton": lambda m: (m.p, m.s) == (2, 2),
+    "plotkin_rank": lambda m: m.p != 2,
+    "rank2_equidistant": lambda m: m.s >= 2,   # a generator of order > p
+}
+
 
 def check_characterization(theorem_id: str, rings, n_max: int,
                            budget: int = CENSUS_BUDGET) -> dict:
@@ -1049,11 +1052,18 @@ def check_characterization(theorem_id: str, rings, n_max: int,
     Known ids: 'shiromoto', 'z4_singleton', 'rank_sb', 'alderson_huntemann',
     'plotkin_rank', 'rank2_equidistant'.  Returns a report whose `verdict` is
     EQUAL when the enumerated attaining set is exactly the predicted family,
-    with MISSING/EXTRA detail otherwise.  An n_max below 1, which would leave
-    nothing to examine, raises ValueError.
+    with MISSING/EXTRA detail otherwise.  The check reads the rings of
+    _READS[theorem_id] among `rings` (all of them by default).  An n_max
+    below 1, and rings of which it reads none, would leave nothing to
+    examine, and raise ValueError.
     """
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown characterization id {theorem_id!r}")
     if n_max < 1:
-        raise ValueError(f"n_max = {n_max} is below 1")
-    return _CHECKS[theorem_id](list(rings), n_max, budget)
+        raise ValueError(f"n_max = {n_max} is below 1, which would leave nothing to examine")
+    rings = list(rings)
+    read = [m for m in rings if _READS.get(theorem_id, lambda m: True)(m)]
+    if not read:
+        raise ValueError(f"{theorem_id} reads none of the rings [{', '.join(map(str, rings))}], "
+                         "which would leave nothing to examine")
+    return _CHECKS[theorem_id](read, n_max, budget)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leecodes import codes
+from leecodes.bounds import CodeParams
 from leecodes.codes import (BudgetError, LinearCode, TrivialCodeError, _lee_sum_dtype,
                             coefficient_grid, format_code_text, parse_code_text, signed_half,
                             word_table)
 from leecodes.constructions import EquidistantSpec, equidistant_rank1, equidistant_rank2
 from leecodes.report import inspect_code
-from leecodes.ring import Modulus, lee_weight_vec, RingVector
+from leecodes.ring import Modulus, lee_weight_elem, lee_weight_vec, RingVector
 from leecodes.search import SearchSpace, all_subtypes, enumerate_codes
 
 Z4 = Modulus(2, 2)
@@ -37,6 +39,42 @@ def test_from_generator_examples():
     assert (c.type_k, c.rank, c.subtype) == (Fraction(1, 2), 1, (0, 1))
     c = LinearCode.from_generator(Z4, [[0, 0, 0], [0, 0, 0]])
     assert c.rank == 0 and c.cardinality == 1
+
+
+@pytest.mark.parametrize("build, value", [
+    pytest.param(lambda: Modulus(5.0, 1), "5.0", id="modulus-p"),
+    pytest.param(lambda: Modulus(5, "1"), "'1'", id="modulus-s"),
+    pytest.param(lambda: LinearCode.from_generator(Z5, [[1.9, 2]]), "1.9", id="generator-float"),
+    pytest.param(lambda: LinearCode.from_generator(Z5, [["1", "2"]]), "'1'",
+                 id="generator-string"),
+    pytest.param(lambda: LinearCode.from_generator(Z5, [], n=3.5), "3.5", id="generator-length"),
+    pytest.param(lambda: LinearCode.from_generator(Z5, [[1, 2, 3]]).contains([1.2, 2, 3]),
+                 "1.2", id="contains"),
+    pytest.param(lambda: RingVector(Z5, (1.5, 2)), "1.5", id="ring-vector"),
+    pytest.param(lambda: lee_weight_elem(Z5, 1.5), "1.5", id="lee-weight-elem"),
+    pytest.param(lambda: CodeParams.from_subtype(Z5, 3.5, (1,)), "3.5", id="code-params"),
+    pytest.param(lambda: SearchSpace(Z5, 3.5, (1,)), "3.5", id="search-space"),
+])
+def test_entry_points_refuse_what_is_no_integer(build, value):
+    # a float or a string would otherwise be truncated, parsed or carried
+    # into the weights and bounds; the refusal names the value
+    with pytest.raises(ValueError, match=re.escape(value)):
+        build()
+
+
+def test_entry_points_read_numpy_integers_as_ints():
+    i = np.int64
+    m = Modulus(i(5), i(1))
+    assert m == Z5 and type(m.p) is type(m.s) is int
+    c = LinearCode.from_generator(Z5, np.array([[1, 2]]))
+    assert c == LinearCode.from_generator(Z5, [[1, 2]])
+    assert type(c.given_rows[0][0]) is int
+    assert c.contains(np.array([2, 4]))
+    assert type(RingVector(Z5, (i(1), i(2))).entries[0]) is int
+    assert type(lee_weight_elem(Z5, i(3))) is int and lee_weight_elem(Z5, i(3)) == 2
+    params = CodeParams.from_subtype(Z5, i(3), (i(1),))
+    assert type(params.n) is int and params.n == 3
+    assert type(SearchSpace(Z5, i(3), (1,)).n) is int
 
 
 def test_redundant_rows_are_dropped():
@@ -69,22 +107,22 @@ def test_structural_parameters_are_computed_once():
 
 def test_systematic_form_examples():
     c = LinearCode.from_generator(Z4, [[2, 0, 0], [0, 1, 1], [0, 0, 2]])
-    mat, perm = c.systematic_form()
+    rows, perm = c.systematic_form()
     assert c.subtype == (1, 2)
     assert perm == (1, 0, 2)
-    assert mat.rows == ((1, 0, 1), (0, 2, 0), (0, 0, 2))
+    assert rows == ((1, 0, 1), (0, 2, 0), (0, 0, 2))
     # the permuted matrix spans the permuted code
     permuted = {tuple(w.entries[j] for j in perm) for w in c.codewords()}
-    assert brute_codeword_set(LinearCode.from_matrix(mat)) == permuted
+    assert brute_codeword_set(LinearCode.from_generator(Z4, rows)) == permuted
 
     c = LinearCode.from_generator(Z9, [[1, 0], [0, 1]])
-    mat, perm = c.systematic_form()
-    assert mat.rows == ((1, 0), (0, 1)) and c.subtype == (2, 0)
+    rows, perm = c.systematic_form()
+    assert rows == ((1, 0), (0, 1)) and c.subtype == (2, 0)
 
     c = LinearCode.from_generator(Z9, [[3, 6]])
-    mat, perm = c.systematic_form()
+    rows, perm = c.systematic_form()
     assert c.subtype == (0, 1)
-    assert mat.rows == ((3, 6),)
+    assert rows == ((3, 6),)
 
 
 def test_parity_check_examples():
@@ -96,6 +134,7 @@ def test_parity_check_examples():
 
     full = LinearCode.from_generator(Z4, [[1, 0], [0, 1]])
     assert full.dual().cardinality == 1
+    assert full.parity_check() == ((0, 0),)
 
 
 def test_generator_and_parity_check_matrices():
@@ -104,15 +143,15 @@ def test_generator_and_parity_check_matrices():
         for n in (1, 2, 3):
             for subtype in [(0,) * m.s, *all_subtypes(m, n)]:
                 for c in enumerate_codes(SearchSpace(m, n, subtype)):
-                    G = np.array(c.generator_matrix().rows)
+                    G = np.array(c.rows).reshape(-1, n)
                     H = c.parity_check()
-                    assert not (G @ np.array(H.rows).T % m.q).any(), c
+                    assert not (G @ np.array(H).T % m.q).any(), c
                     assert LinearCode.from_generator(m, G.tolist(), n=n) == c
-                    dual = LinearCode.from_generator(m, H.rows, n=n)
+                    dual = LinearCode.from_generator(m, H, n=n)
                     assert c.cardinality * dual.cardinality == m.q ** n, c
     zero = LinearCode.from_generator(Z9, [[0, 0, 0]])
-    assert zero.generator_matrix().rows == ((0, 0, 0),)
-    assert LinearCode.from_generator(Z9, zero.parity_check().rows).cardinality == 9 ** 3
+    assert zero.systematic_form()[0] == ((0, 0, 0),)
+    assert LinearCode.from_generator(Z9, zero.parity_check()).cardinality == 9 ** 3
 
 
 def exhaustive_small_codes():
@@ -420,6 +459,23 @@ def test_membership():
         c.contains(RingVector(Z9, (4, 5, 5)))
 
 
+def test_membership_matches_the_codeword_sets():
+    # every code of Z/4, Z/5, Z/8 and Z/9 at n <= 2 and of Z/4 at n = 3, the
+    # zero codes included, against its brute-force codeword set
+    for m, n in [(m, n) for m in (Z4, Z5, Z8, Z9) for n in (1, 2)] + [(Z4, 3)]:
+        space = list(itertools.product(range(m.q), repeat=n))
+        for subtype in [(0,) * m.s, *all_subtypes(m, n)]:
+            for c in enumerate_codes(SearchSpace(m, n, subtype)):
+                words = brute_codeword_set(c)
+                assert [c.contains(v) for v in space] == [v in words for v in space], c
+    # and inclusion on every pair of codes of (Z/4)^2
+    pairs = [(c, brute_codeword_set(c)) for subtype in [(0, 0), *all_subtypes(Z4, 2)]
+             for c in enumerate_codes(SearchSpace(Z4, 2, subtype))]
+    for a, words_a in pairs:
+        for b, words_b in pairs:
+            assert a.is_subcode_of(b) == (words_a <= words_b), (a, b)
+
+
 def test_one_code_has_one_spelling():
     # two generators of one code over Z/9 reduce to the same standard rows,
     # which equality and hashing read
@@ -555,11 +611,11 @@ def test_systematic_form_shape():
         n = rng.randint(1, 5)
         rows = [[rng.randrange(m.q) for _ in range(n)] for _ in range(rng.randint(1, 3))]
         c = LinearCode.from_generator(m, rows)
-        mat, perm = c.systematic_form()
+        rows, perm = c.systematic_form()
         assert sorted(perm) == list(range(n))
         vals = [v for _, v in c.pivots]
         assert vals == sorted(vals)
-        for t, row in enumerate(mat.rows[:c.rank]):
+        for t, row in enumerate(rows[:c.rank]):
             assert row[t] == m.p ** vals[t]
             assert all(row[u] == 0 for u in range(t))          # earlier pivots
             assert all(e % m.p ** vals[t] == 0 for e in row)   # ideal membership

@@ -1200,3 +1200,12 @@ def test_characterization_refuses_n_max_below_1(monkeypatch, theorem):
     for n_max in (0, -1):
         with pytest.raises(ValueError, match=f"n_max = {n_max} is below 1"):
             check_characterization(theorem, [Z4, Z5], n_max)
+
+
+@pytest.mark.parametrize("theorem, rings", [
+    *((theorem, []) for theorem in search._CHECKS),
+    ("z4_singleton", [Z5]), ("plotkin_rank", [Z4]), ("rank2_equidistant", [Z5])])
+def test_characterization_refuses_rings_with_nothing_to_examine(theorem, rings):
+    # no ring, or only rings the check skips: a verdict over 0 codes says nothing
+    with pytest.raises(ValueError, match="reads none of the rings.*would leave nothing to examine"):
+        check_characterization(theorem, rings, 3)
