@@ -19,7 +19,7 @@ from .codes import BudgetError, LinearCode, format_code_text, parse_code_text
 from .constructions import (EquidistantSpec, catalog_mld, equidistant_rank1,
                             equidistant_rank2, predict_support_subtype)
 from .ring import Modulus
-from .search import (CENSUS_BUDGET, SearchSpace, check_characterization,
+from .search import (CENSUS_BUDGET, SearchSpace, check_characterizations,
                      max_lee_distance_census)
 
 SWEEP_RINGS = [Modulus(2, 2), Modulus(5, 1), Modulus(7, 1), Modulus(2, 3), Modulus(3, 2)]
@@ -207,12 +207,13 @@ def cmd_census(p, s, n, subtype, budget):
 def cmd_characterize(n_max):
     """Run the five scanning characterization checks (all but
     rank2_equidistant) over Z/4, Z/5, Z/7, Z/8 and Z/9 at every length up to
-    --n-max; print each verdict, its extra, missing and ceiling-form lists
-    where the check keeps them, and the codes examined, as JSON."""
-    doc = {}
-    for theorem in SWEEP_THEOREMS:
-        report = check_characterization(theorem, SWEEP_RINGS, n_max)
-        doc[theorem] = {key: report[key] for key in SWEEP_KEYS if key in report}
+    --n-max, in one sweep that scans each space once; print each verdict
+    (VACUOUS where a check's target met no space), its extra, missing and
+    ceiling-form lists where the check keeps them, and the codes examined,
+    as JSON."""
+    reports = check_characterizations(SWEEP_THEOREMS, SWEEP_RINGS, n_max)
+    doc = {theorem: {key: report[key] for key in SWEEP_KEYS if key in report}
+           for theorem, report in reports.items()}
     click.echo(json.dumps(doc, indent=2))
 
 

@@ -35,22 +35,26 @@ inverses taken as powers, with no sort of the units.
 
 Every target is an interval [lo, hi] of d_L: the attainment range of a Lee
 bound (_spans), Shiromoto's ceiling form from its floor up to n M, the
-largest Lee weight of a word, or the census's running maximum.  The
-characterization sweep takes one interval per space, counts its codes, and
-where the space is kept decodes them and hands the check their classes.  A
-characterization's predicted family is a filter on its target plus the
-named witnesses of catalog_mld: a space the theorem allows whole is counted
-but not kept, and a class kept elsewhere is named when its root equals a
-witness.  The kept set of a whole space is closed under the group, and its
-orbit components are its classes.  Each class root, the first code of its
-class in generator order as every witness is, is built from its standard
-generator as it stands, which is the form LinearCode keeps, so no root is
-reduced twice.  signed_perm_equivalent and dedup_codes are plain pairwise
-references that no library path calls.
+largest Lee weight of a word, or the census's running maximum.  One table,
+_THEOREMS, names each characterization's rings, its target per space and
+its check over the swept rows, and one driver, check_characterizations,
+scans each space once for the targets of every theorem it runs: _sweep
+takes all of a space's targets at once, counts the codes of each interval,
+and where a target is kept decodes its codes and hands its check their
+classes.  A characterization's predicted family is a filter on its target
+plus the named witnesses of catalog_mld: a space the theorem allows whole
+is counted but not kept, and a class kept elsewhere is named when its root
+equals a witness.  The kept set of a whole space is closed under the group,
+and its orbit components are its classes.  Each class root, the first code
+of its class in generator order as every witness is, is built from its
+standard generator as it stands, which is the form LinearCode keeps, so no
+root is reduced twice.  signed_perm_equivalent and dedup_codes are plain
+pairwise references that no library path calls.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -81,6 +85,7 @@ __all__ = [
     "find_attaining_codes",
     "verify_mds_socle",
     "check_characterization",
+    "check_characterizations",
     "signed_perm_equivalent",
     "dedup_codes",
     "all_subtypes",
@@ -502,9 +507,11 @@ def find_attaining_codes(space: SearchSpace, bound_id: str) -> list[LinearCode]:
     if bound.hamming:
         raise ValueError(f"bound {bound_id!r} bounds the Hamming distance, "
                          "and find_attaining_codes scans Lee bounds only")
-    for _, _, classes, _, _ in _sweep([space], _bound_target(bound_id)):
-        return classes
-    raise ValueError(f"bound {bound_id!r} not applicable to {space}")
+    target = _bound_target(bound_id)(space)
+    if target is None:
+        raise ValueError(f"bound {bound_id!r} not applicable to {space}")
+    _, (classes,), _, _ = _sweep(space, (target,))
+    return classes
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -753,30 +760,27 @@ def _spaces(rings, n_max: int, budget: int):
             for m in rings for n in range(1, n_max + 1) for subtype in all_subtypes(m, n))
 
 
-def _sweep(spaces, target):
-    """Scan each of `spaces` once, in order.  `target(space)` is (lo, hi,
-    keep), one interval of d_L and whether its codes are kept, or None to
-    skip the space.  Yields (space, count, classes, examined, max_d): count
-    is the number of codes with lo <= d_L <= hi, and classes holds one code
-    per signed-permutation class of them, from _dedup_generators, where keep
-    holds and is [] elsewhere, so a space that is only counted decodes no
-    generator and is never classed."""
-    for space in spaces:
-        span = target(space)
-        if span is None:
-            continue
-        lo, hi, keep = span
-        kept, count, examined, max_d = [], 0, 0, 0
-        for start, d in scan_space(space):
-            examined += len(d)
-            max_d = max(max_d, int(d.max()))
+def _sweep(space: SearchSpace, targets: tuple):
+    """Scan the space once for all of `targets`, each (lo, hi, keep): one
+    interval of d_L and whether its codes are kept.  Returns (counts,
+    classes, examined, max_d): per target, the number of codes with lo <=
+    d_L <= hi, and one code per signed-permutation class of them, from
+    _dedup_generators, where keep holds and [] elsewhere, so a target that
+    only counts decodes no generator and classes none; then the codes of the
+    space and their largest d_L."""
+    counts, kept = [0] * len(targets), [[] for _ in targets]
+    examined = max_d = 0
+    for start, d in scan_space(space):
+        examined += len(d)
+        max_d = max(max_d, int(d.max()))
+        for i, (lo, hi, keep) in enumerate(targets):
             hit = _in_range(lo, hi, d)
-            count += int(np.count_nonzero(hit))
+            counts[i] += int(np.count_nonzero(hit))
             if keep:
-                kept.append(start + np.flatnonzero(hit))
-        classes = (_dedup_generators(space, _generators(space, np.concatenate(kept)))
-                   if keep else [])
-        yield space, count, classes, examined, max_d
+                kept[i].append(start + np.flatnonzero(hit))
+    classes = [_dedup_generators(space, _generators(space, np.concatenate(indices)))
+               if keep else [] for indices, (_, _, keep) in zip(kept, targets)]
+    return counts, classes, examined, max_d
 
 
 def _bound_target(bound_id: str, allowed=lambda space: False):
@@ -790,16 +794,19 @@ def _bound_target(bound_id: str, allowed=lambda space: False):
     return target
 
 
-def _verdict(extra, missing=()) -> str:
-    return "EXTRA" if extra else ("MISSING" if missing else "EQUAL")
-
-
 def _catalogs(rings, n_max: int) -> dict:
     """The named witnesses, catalog_mld, of each ring at each length 1..n_max."""
     return {(m, n): catalog_mld(m, n) for m in rings for n in range(1, n_max + 1)}
 
 
-def _check_shiromoto(rings, n_max, budget) -> dict:
+def _shiromoto_target(space: SearchSpace):
+    """Shiromoto's one interval, from the ceiling form's floor up to n M, kept
+    outside the spaces of ceil(k) = n."""
+    lo, _ = _spans(space)["shiromoto"]
+    return lo, space.n * space.modulus.M, space.params.ceil_k < space.n
+
+
+def _check_shiromoto(rows, rings, n_max) -> dict:
     """Attainers of the Shiromoto bound in its original type form, i.e. codes
     with d_L > M(n - k) for the exact rational type k.
 
@@ -842,20 +849,10 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     x is 0, as no word has four entries, so the code is its socle
     M E_2 = <(M, M)>.
     """
-    extra: list[str] = []
-    ceiling_extras: list[str] = []
-    examined = 0
-    space_max: list[dict] = []
+    extra, ceiling_extras, space_max = [], [], []
     catalogs = _catalogs(rings, n_max)
-
-    def target(space):
-        params = space.params
-        lo, _ = _spans(space)["shiromoto"]
-        return lo, params.n * params.modulus.M, params.ceil_k < params.n
-
-    for space, _, classes, scanned, top in _sweep(_spaces(rings, n_max, budget), target):
+    for space, _, classes, _, top in rows:
         m = space.modulus
-        examined += scanned
         space_max.append({"p": m.p, "s": m.s, "n": space.n,
                           "subtype": space.subtype, "max_d": top})
         if not classes:
@@ -872,12 +869,11 @@ def _check_shiromoto(rings, n_max, budget) -> dict:
     missing = [f"{m}, n={n}: {list(w.rows)}" for (m, n), witnesses in catalogs.items()
                for w in witnesses
                if w.min_lee_distance() < type_form_max_d(CodeParams.from_code(w))]
-    return {"theorem": "shiromoto", "verdict": _verdict(extra, missing), "extra": extra,
-            "missing": missing, "ceiling_form_extras": ceiling_extras,
-            "examined": examined, "space_max": space_max}
+    return {"extra": extra, "missing": missing, "ceiling_form_extras": ceiling_extras,
+            "space_max": space_max}
 
 
-def _check_z4_singleton(rings, n_max, budget) -> dict:
+def _check_z4_singleton(rows, rings, n_max) -> dict:
     """Attainers of the Z/4 Singleton-type bound over Z/4, the one ring it
     reads.  The family is the ambient space, the free rank-n space, which is
     scanned and counted but keeps no code, and the named witnesses of
@@ -887,42 +883,40 @@ def _check_z4_singleton(rings, n_max, budget) -> dict:
     ambient space are fixed by every coordinate permutation and sign flip,
     so each witness is its class's root, and comparing roots with the
     witnesses by equality gives the answer that comparing codes would."""
-    extra: list[str] = []
-    examined = 0
     catalogs = _catalogs(rings, n_max)
-    target = _bound_target("z4_singleton", lambda space: space.subtype == (space.n, 0))
-    for space, _, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
-        examined += scanned
-        extra.extend(f"n={space.n}: {list(c.rows)}" for c in classes
-                     if c not in catalogs[space.modulus, space.n])
-    missing = [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
-               for w in witnesses if not attainment_check(w, "z4_singleton")]
-    return {"theorem": "z4_singleton", "verdict": _verdict(extra, missing), "extra": extra,
-            "missing": missing, "examined": examined}
+    return {"extra": [f"n={space.n}: {list(c.rows)}" for space, _, classes, _, _ in rows
+                      for c in classes if c not in catalogs[space.modulus, space.n]],
+            "missing": [f"n={n}: {list(w.rows)}" for (_, n), witnesses in catalogs.items()
+                        for w in witnesses if not attainment_check(w, "z4_singleton")]}
 
 
-def _check_rank_sb(rings, n_max, budget) -> dict:
+def _check_rank_sb(rows, rings, n_max) -> dict:
     """Attainers of the rank form of the Shiromoto bound below full rank;
     the family is the rank-(n-1) spaces over p = 2 and the named witnesses
     of catalog_mld.  Those spaces and the full-rank ones are scanned and
     counted but keep no code; a full-rank code that misses the vacuous
-    bound is a failure."""
-    extra: list[str] = []
-    vacuous_failures = examined = 0
+    bound is a failure, counted in `vacuous_failures`."""
     catalogs = _catalogs(rings, n_max)
-    target = _bound_target("shiromoto_rank", lambda space: space.rank == space.n or (
-        space.modulus.p == 2 and space.rank == space.n - 1))
-    for space, count, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
-        examined += scanned
-        if space.rank == space.n:
-            vacuous_failures += scanned - count
-        extra.extend(f"{space}: {list(c.rows)}" for c in classes
-                     if c not in catalogs[space.modulus, space.n])
-    return {"theorem": "rank_sb", "verdict": _verdict(extra or vacuous_failures),
-            "extra": extra, "vacuous_failures": vacuous_failures, "examined": examined}
+    return {"extra": [f"{space}: {list(c.rows)}" for space, _, classes, _, _ in rows
+                      for c in classes if c not in catalogs[space.modulus, space.n]],
+            "vacuous_failures": sum(examined - count for space, count, _, examined, _ in rows
+                                    if space.rank == space.n)}
 
 
-def _check_alderson(rings, n_max, budget) -> dict:
+def _alderson_predicted(space: SearchSpace) -> bool:
+    """Whether the space is one the Alderson-Huntemann characterization
+    predicts, hard-coded per ring as _check_alderson lists them."""
+    m, params = space.modulus, space.params
+    n, K, k, free = params.n, params.K, int(params.k), params.is_free
+    if m.p != 2:
+        return (m.q == 5 and k + 1 <= n <= k + 3) or \
+               (free and m.q in (7, 9) and n == k + 1)
+    return (free and m.s == 2 and k + 1 <= n <= k + 2) or \
+           (free and m.s == 3 and n == k + 1) or \
+           (k + 1 == K and K in (n, n - 1))
+
+
+def _check_alderson(rows, rings, n_max) -> dict:
     """Spaces holding attainers of the Alderson-Huntemann bound M(n - k), for
     integer type 1 < k < n.  The predicted spaces are hard-coded per ring:
     Z/5 with k + 1 <= n <= k + 3, free codes over Z/7 and Z/9 with n = k + 1,
@@ -931,56 +925,33 @@ def _check_alderson(rings, n_max, budget) -> dict:
     predicted space is scanned and counted but keeps no code; every
     attainer class of any other space is extra, so over a ring outside
     these five only the last family is allowed."""
-    extra: list[str] = []
-    examined = 0
-
-    def predicted(space: SearchSpace) -> bool:
-        m, params = space.modulus, space.params
-        n, K, k, free = params.n, params.K, int(params.k), params.is_free
-        if m.p != 2:
-            return (m.q == 5 and k + 1 <= n <= k + 3) or \
-                   (free and m.q in (7, 9) and n == k + 1)
-        return (free and m.s == 2 and k + 1 <= n <= k + 2) or \
-               (free and m.s == 3 and n == k + 1) or \
-               (k + 1 == K and K in (n, n - 1))
-
-    target = _bound_target("alderson_huntemann", predicted)
-    for space, _, classes, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
-        examined += scanned
-        extra.extend(f"{space}: {list(c.rows)}" for c in classes)
-    return {"theorem": "alderson_huntemann", "verdict": _verdict(extra), "extra": extra,
-            "examined": examined}
+    return {"extra": [f"{space}: {list(c.rows)}" for space, _, classes, _, _ in rows
+                      for c in classes]}
 
 
-def _check_plotkin_rank(rings, n_max, budget) -> dict:
+def _plotkin_target(space: SearchSpace):
+    """The attainment range of the level-1 rank bound, counted but kept
+    nowhere, on the spaces where the bound is an integer: an integer
+    distance can never meet a fractional value exactly."""
+    value, *_ = _cells(space)["rank_plotkin"]
+    span = _spans(space).get("rank_plotkin")
+    return None if span is None or value.denominator != 1 else (*span, False)
+
+
+def _check_plotkin_rank(rows, rings, n_max) -> dict:
     """Spaces holding attainers of the level-1 rank bound A(p,s,1)(n - K + 1)
     over odd p, each of which must have n <= p + 1 and n - K + 1 in
     {p - 1, (p - 1)/2}, where the bound reads p^(s-1)(p^2 - 1)/4 or half of it.
     Every space is scanned and counted but keeps no code: a space outside
     that family with a non-zero count is extra, and `attainers` counts the
     codes of all."""
-    extra: list[str] = []
-    examined = attainers = 0
-
-    def family(space):
+    extra = []
+    for space, count, _, _, _ in rows:
         n, K, p = space.n, space.rank, space.modulus.p
-        return n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)
-
-    bound = _bound_target("rank_plotkin", lambda space: True)
-
-    def target(space):
-        value, *_ = _cells(space)["rank_plotkin"]
-        # an integer distance can never meet a fractional value exactly
-        return bound(space) if value.denominator == 1 else None
-
-    for space, count, _, scanned, _ in _sweep(_spaces(rings, n_max, budget), target):
-        examined += scanned
-        attainers += count
-        if count and not family(space):
+        if count and not (n <= p + 1 and n - K + 1 in (p - 1, (p - 1) // 2)):
             _, floored, *_ = _cells(space)["rank_plotkin"]
             extra.append(f"{space}: d={floored}")
-    return {"theorem": "plotkin_rank", "verdict": _verdict(extra), "extra": extra,
-            "examined": examined, "attainers": attainers}
+    return {"extra": extra, "attainers": sum(count for _, count, *_ in rows)}
 
 
 def _check_rank2_equidistant(rings, n_max, budget) -> dict:
@@ -1023,47 +994,99 @@ def _check_rank2_equidistant(rings, n_max, budget) -> dict:
                         lo, hi = np.minimum(lo, w.min(axis=0)), np.maximum(hi, w.max(axis=0))
                     counterexamples.extend(f"{m}, n={n}: cyclic {tuple(g.tolist())}"
                                            for g in G[lo == hi, 0])
-    return {"theorem": "rank2_equidistant", "verdict": _verdict(counterexamples),
-            "extra": counterexamples, "survivors": len(counterexamples),
+    return {"extra": counterexamples, "survivors": len(counterexamples),
             "generators_scanned": scanned}
 
 
-_CHECKS = {
-    "shiromoto": _check_shiromoto,
-    "z4_singleton": _check_z4_singleton,
-    "rank_sb": _check_rank_sb,
-    "alderson_huntemann": _check_alderson,
-    "plotkin_rank": _check_plotkin_rank,
-    "rank2_equidistant": _check_rank2_equidistant,
+# One characterization: whether its check reads a ring, its sweep target, a
+# space's (lo, hi, keep) or None to skip the space (see _sweep), and its
+# check over the swept rows.  A theorem with no target scans its own codes,
+# and its check takes (rings, n_max, budget).
+_Theorem = collections.namedtuple("_Theorem", "reads target check")
+
+_THEOREMS = {
+    "shiromoto": _Theorem(lambda m: True, _shiromoto_target, _check_shiromoto),
+    "z4_singleton": _Theorem(lambda m: (m.p, m.s) == (2, 2), _bound_target(
+        "z4_singleton", lambda space: space.subtype == (space.n, 0)), _check_z4_singleton),
+    "rank_sb": _Theorem(lambda m: True, _bound_target("shiromoto_rank", lambda space: (
+        space.rank == space.n or (space.modulus.p == 2 and space.rank == space.n - 1))),
+        _check_rank_sb),
+    "alderson_huntemann": _Theorem(
+        lambda m: True, _bound_target("alderson_huntemann", _alderson_predicted), _check_alderson),
+    "plotkin_rank": _Theorem(lambda m: m.p != 2, _plotkin_target, _check_plotkin_rank),
+    # a generator of order > p
+    "rank2_equidistant": _Theorem(lambda m: m.s >= 2, None, _check_rank2_equidistant),
 }
 
-# the rings a check reads, where it does not read every ring
-_READS = {
-    "z4_singleton": lambda m: (m.p, m.s) == (2, 2),
-    "plotkin_rank": lambda m: m.p != 2,
-    "rank2_equidistant": lambda m: m.s >= 2,   # a generator of order > p
-}
+
+def check_characterizations(theorem_ids, rings, n_max: int,
+                            budget: int = CENSUS_BUDGET) -> dict:
+    """Machine-check characterizations of bound-attaining codes in one sweep:
+    the report of each id of `theorem_ids`, keyed by id in the order given.
+
+    Known ids: 'shiromoto', 'z4_singleton', 'rank_sb', 'alderson_huntemann',
+    'plotkin_rank', 'rank2_equidistant', the keys of _THEOREMS.  Each check
+    reads those of `rings` that its entry's `reads` accepts.  An unknown id,
+    an n_max below 1, and an id that reads none of the rings, which would
+    leave nothing to examine, raise ValueError before any space is built.
+
+    Each space of n = 1..n_max is scanned once, by _sweep, for the targets
+    of every check that reads its ring, and each check gets its rows (space,
+    count, classes, examined, max_d) in space order.  A report holds its id
+    as `theorem`, the check's fields, `examined`, the codes its rows hold
+    (not for rank2_equidistant, which scans its own cyclic codes), and a
+    `verdict`: EXTRA when the enumerated attaining set holds more than the
+    predicted family (or, for rank_sb, a full-rank code misses the vacuous
+    bound), MISSING when it holds less, VACUOUS when the target met no
+    space, so nothing was examined, and EQUAL otherwise."""
+    theorem_ids = list(dict.fromkeys(theorem_ids))
+    for theorem_id in theorem_ids:
+        if theorem_id not in _THEOREMS:
+            raise ValueError(f"unknown characterization id {theorem_id!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max = {n_max} is below 1, which would leave nothing to examine")
+    rings = list(rings)
+    reads = {theorem_id: [m for m in rings if _THEOREMS[theorem_id].reads(m)]
+             for theorem_id in theorem_ids}
+    for theorem_id, read in reads.items():
+        if not read:
+            raise ValueError(f"{theorem_id} reads none of the rings "
+                             f"[{', '.join(map(str, rings))}], which would leave nothing to examine")
+    rows = {theorem_id: [] for theorem_id in theorem_ids}
+    for m in rings:
+        targets = [(rows[theorem_id], _THEOREMS[theorem_id].target) for theorem_id in theorem_ids
+                   if _THEOREMS[theorem_id].target and m in reads[theorem_id]]
+        for space in _spaces([m], n_max, budget) if targets else ():
+            hits = [(into, span) for into, target in targets
+                    for span in [target(space)] if span is not None]
+            if hits:
+                lists, spans = zip(*hits)
+                counts, classes, examined, max_d = _sweep(space, spans)
+                # the rows outlive the scan, and only the scan and the
+                # decoder read the space's placement layout
+                vars(space).pop("layout", None)
+                for into, count, found in zip(lists, counts, classes):
+                    into.append((space, count, found, examined, max_d))
+    reports = {}
+    for theorem_id in theorem_ids:
+        theorem, read, swept = _THEOREMS[theorem_id], reads[theorem_id], rows[theorem_id]
+        if theorem.target is None:
+            report = theorem.check(read, n_max, budget)
+        else:
+            report = theorem.check(swept, read, n_max)
+            report["examined"] = sum(row[3] for row in swept)
+        verdict = ("EXTRA" if report["extra"] or report.get("vacuous_failures")
+                   else "MISSING" if report.get("missing")
+                   else "VACUOUS" if report.get("examined") == 0 else "EQUAL")
+        reports[theorem_id] = {"theorem": theorem_id, "verdict": verdict, **report}
+    return reports
 
 
 def check_characterization(theorem_id: str, rings, n_max: int,
                            budget: int = CENSUS_BUDGET) -> dict:
-    """Machine-check a characterization of bound-attaining codes.
-
-    Known ids: 'shiromoto', 'z4_singleton', 'rank_sb', 'alderson_huntemann',
-    'plotkin_rank', 'rank2_equidistant'.  Returns a report whose `verdict` is
-    EQUAL when the enumerated attaining set is exactly the predicted family,
-    with MISSING/EXTRA detail otherwise.  The check reads the rings of
-    _READS[theorem_id] among `rings` (all of them by default).  An n_max
-    below 1, and rings of which it reads none, would leave nothing to
-    examine, and raise ValueError.
-    """
-    if theorem_id not in _CHECKS:
-        raise ValueError(f"unknown characterization id {theorem_id!r}")
-    if n_max < 1:
-        raise ValueError(f"n_max = {n_max} is below 1, which would leave nothing to examine")
-    rings = list(rings)
-    read = [m for m in rings if _READS.get(theorem_id, lambda m: True)(m)]
-    if not read:
-        raise ValueError(f"{theorem_id} reads none of the rings [{', '.join(map(str, rings))}], "
-                         "which would leave nothing to examine")
-    return _CHECKS[theorem_id](read, n_max, budget)
+    """Machine-check one characterization of bound-attaining codes: the
+    report of check_characterizations([theorem_id], ...), with its refusals.
+    Its `verdict` is EQUAL when the enumerated attaining set is exactly the
+    predicted family, with MISSING/EXTRA detail otherwise, and VACUOUS when
+    the check's target met no space."""
+    return check_characterizations([theorem_id], rings, n_max, budget)[theorem_id]

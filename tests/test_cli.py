@@ -317,7 +317,7 @@ def test_characterize_prints_the_verdicts():
     doc = json.loads(res.output)
     assert {theorem: report["verdict"] for theorem, report in doc.items()} == {
         "shiromoto": "EQUAL", "z4_singleton": "EQUAL", "rank_sb": "EXTRA",
-        "alderson_huntemann": "EQUAL", "plotkin_rank": "EQUAL"}
+        "alderson_huntemann": "VACUOUS", "plotkin_rank": "EQUAL"}
     assert {theorem: report["examined"] for theorem, report in doc.items()} == {
         "shiromoto": 97, "z4_singleton": 16, "rank_sb": 97,
         "alderson_huntemann": 0, "plotkin_rank": 40}
@@ -344,7 +344,7 @@ def test_characterize_turns_a_failure_into_one_error_line(monkeypatch, exc, code
     def refuse(*args):
         raise exc
 
-    monkeypatch.setattr("leecodes.cli.check_characterization", refuse)
+    monkeypatch.setattr("leecodes.cli.check_characterizations", refuse)
     res = run("characterize", "--n-max", "1")
     assert res.exit_code == code
     assert (res.stdout, res.stderr) == ("", "error: space over the budget\n")

@@ -17,9 +17,9 @@ from leecodes.codes import BudgetError, LinearCode, _row_reduce
 from leecodes.ring import Modulus
 from leecodes.search import (SearchSpace, _dedup_generators, _generator_chunks, _generators,
                              _placement_slots, _space_orders, all_subtypes, check_characterization,
-                             dedup_codes, enumerate_codes, find_attaining_codes,
-                             max_lee_distance_census, scan_space, signed_perm_equivalent,
-                             verify_mds_socle)
+                             check_characterizations, dedup_codes, enumerate_codes,
+                             find_attaining_codes, max_lee_distance_census, scan_space,
+                             signed_perm_equivalent, verify_mds_socle)
 
 Z2 = Modulus(2, 1)
 Z3 = Modulus(3, 1)
@@ -924,12 +924,18 @@ def test_rank2_equidistant_witness_of_length_36_over_z9():
 def test_characterization_alderson_small():
     rep = check_characterization("alderson_huntemann", [Z5, Z4], 4)
     assert rep["verdict"] == "EQUAL"
+    # the bound reads integer types 1 < k < n only, so no space below n = 3:
+    # a verdict over no code is VACUOUS, not EQUAL
+    rep = check_characterization("alderson_huntemann", [Z5, Z4], 2)
+    assert (rep["verdict"], rep["examined"]) == ("VACUOUS", 0)
 
 
 def test_characterization_plotkin_rank_small():
     rep = check_characterization("plotkin_rank", [Z5], 4)
     assert rep["verdict"] == "EQUAL"
     assert rep["attainers"] > 0  # the equidistant witnesses are found
+    rep = check_characterization("plotkin_rank", [Z5], 1)   # no integral bound at n = 1
+    assert (rep["verdict"], rep["examined"]) == ("VACUOUS", 0)
 
 
 def test_characterization_rank_sb_small():
@@ -1119,20 +1125,36 @@ def test_characterizations_decode_no_code_of_an_allowed_space(monkeypatch):
     assert reports["plotkin_rank"]["attainers"] == 19
 
 
+# the five checks that sweep spaces, and rank2_equidistant, which scans its
+# own cyclic codes
+SCANNING = ["shiromoto", "z4_singleton", "rank_sb", "alderson_huntemann", "plotkin_rank"]
+CHARACTERIZATIONS = SCANNING + ["rank2_equidistant"]
+
+
+def _characterize(theorems, rings, n_max):
+    """One check's report for one id, the shared sweep's reports for a list."""
+    if isinstance(theorems, str):
+        return check_characterization(theorems, rings, n_max)
+    return check_characterizations(theorems, rings, n_max)
+
+
 def test_characterization_reports_at_n3_match_the_stored_reports():
     # every field of the six reports, including those the sweep script
     # leaves out: space_max, attainers, vacuous_failures, survivors and
-    # generators_scanned
+    # generators_scanned; one shared sweep gives each check the reports it
+    # gives alone
     reports = {theorem: check_characterization(theorem, [Z4, Z5, Z7, Z8, Z9], 3)
-               for theorem in ["shiromoto", "z4_singleton", "rank_sb", "alderson_huntemann",
-                               "plotkin_rank", "rank2_equidistant"]}
+               for theorem in CHARACTERIZATIONS}
     stored = json.loads((DATA / "characterization_reports_n3.json").read_text())
     assert json.loads(json.dumps(reports)) == stored
+    shared = check_characterizations(CHARACTERIZATIONS, [Z4, Z5, Z7, Z8, Z9], 3)
+    assert list(shared) == CHARACTERIZATIONS
+    assert json.loads(json.dumps(shared)) == stored
 
 
-@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
-                                     "alderson_huntemann", "plotkin_rank"])
-def test_characterization_scans_each_space_once(monkeypatch, theorem):
+@pytest.mark.parametrize("theorems", [*SCANNING, pytest.param(SCANNING, id="all")])
+def test_characterization_scans_each_space_once(monkeypatch, theorems):
+    # the five checks together scan each space once, as each check alone does
     calls = Counter()
     scan = search.scan_space
 
@@ -1141,16 +1163,18 @@ def test_characterization_scans_each_space_once(monkeypatch, theorem):
         return scan(space, *args, **kwargs)
 
     monkeypatch.setattr(search, "scan_space", counted)
-    check_characterization(theorem, [Z4, Z5, Z9], 3)
+    _characterize(theorems, [Z4, Z5, Z9], 3)
     assert calls and set(calls.values()) == {1}
+    if theorems == SCANNING:   # every space of the rings up to n = 3
+        assert set(calls) == set(search._spaces([Z4, Z5, Z9], 3, search.CENSUS_BUDGET))
 
 
-@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
-                                     "alderson_huntemann", "plotkin_rank"])
-def test_characterizations_match_across_many_chunks(monkeypatch, theorem):
+@pytest.mark.parametrize("theorems", [*SCANNING, pytest.param(SCANNING, id="all")])
+def test_characterizations_match_across_many_chunks(monkeypatch, theorems):
     # with one code per chunk, the sweep keeps and joins each target's codes
-    # over as many chunks as codes (683 for shiromoto)
-    whole = check_characterization(theorem, [Z4, Z5, Z9], 3)
+    # over as many chunks as codes (683 for shiromoto); the shared sweep
+    # joins several kept targets of a space at once
+    whole = _characterize(theorems, [Z4, Z5, Z9], 3)
     chunks = 0
     scan = search.scan_space
 
@@ -1162,8 +1186,10 @@ def test_characterizations_match_across_many_chunks(monkeypatch, theorem):
 
     monkeypatch.setattr(search, "SCAN_CHUNK_CELLS", 1)
     monkeypatch.setattr(search, "scan_space", counted)
-    assert check_characterization(theorem, [Z4, Z5, Z9], 3) == whole
-    assert chunks == whole["examined"]
+    assert _characterize(theorems, [Z4, Z5, Z9], 3) == whole
+    # every space each check examines is scanned once, whichever checks share it
+    assert chunks == (whole["examined"] if isinstance(theorems, str)
+                      else whole["shiromoto"]["examined"])
 
 
 def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkeypatch):
@@ -1186,26 +1212,40 @@ def test_characterization_plotkin_rank_evaluates_the_bound_once_per_space(monkey
     assert report["attainers"] and calls == Counter(spaces)
 
 
-def test_characterization_rejects_unknown_theorem():
-    with pytest.raises(ValueError, match="unknown characterization id"):
+def _no_space(*args, **kwargs):
+    raise AssertionError("a space was built")
+
+
+def test_characterization_rejects_unknown_theorem(monkeypatch):
+    # an unknown id anywhere in the shared sweep's list is refused before
+    # any space is built
+    monkeypatch.setattr(search, "SearchSpace", _no_space)
+    with pytest.raises(ValueError, match="unknown characterization id 'singleton'"):
         check_characterization("singleton", [Z4], 2)
+    for theorems in (["shiromoto", "singleton"], ["singleton", *CHARACTERIZATIONS]):
+        with pytest.raises(ValueError, match="unknown characterization id 'singleton'"):
+            check_characterizations(theorems, [Z4], 2)
 
 
-@pytest.mark.parametrize("theorem", ["shiromoto", "z4_singleton", "rank_sb",
-                                     "alderson_huntemann", "plotkin_rank", "rank2_equidistant"])
+@pytest.mark.parametrize("theorem", [*CHARACTERIZATIONS,
+                                     pytest.param(CHARACTERIZATIONS, id="all")])
 def test_characterization_refuses_n_max_below_1(monkeypatch, theorem):
-    def no_space(*args, **kwargs):
-        raise AssertionError("a space was built")
-    monkeypatch.setattr(search, "SearchSpace", no_space)
+    monkeypatch.setattr(search, "SearchSpace", _no_space)
     for n_max in (0, -1):
         with pytest.raises(ValueError, match=f"n_max = {n_max} is below 1"):
-            check_characterization(theorem, [Z4, Z5], n_max)
+            _characterize(theorem, [Z4, Z5], n_max)
 
 
 @pytest.mark.parametrize("theorem, rings", [
-    *((theorem, []) for theorem in search._CHECKS),
-    ("z4_singleton", [Z5]), ("plotkin_rank", [Z4]), ("rank2_equidistant", [Z5])])
-def test_characterization_refuses_rings_with_nothing_to_examine(theorem, rings):
-    # no ring, or only rings the check skips: a verdict over 0 codes says nothing
+    *((theorem, []) for theorem in search._THEOREMS),
+    ("z4_singleton", [Z5]), ("plotkin_rank", [Z4]), ("rank2_equidistant", [Z5]),
+    pytest.param(["shiromoto", "z4_singleton"], [Z5], id="z4_singleton-in-a-list"),
+    pytest.param(["shiromoto", "plotkin_rank", "rank2_equidistant"], [Z5, Z7],
+                 id="rank2_equidistant-last")])
+def test_characterization_refuses_rings_with_nothing_to_examine(monkeypatch, theorem, rings):
+    # no ring, or only rings the check skips: a verdict over 0 codes says
+    # nothing; a check that reads none of the rings anywhere in the shared
+    # sweep's list is refused before any space is built
+    monkeypatch.setattr(search, "SearchSpace", _no_space)
     with pytest.raises(ValueError, match="reads none of the rings.*would leave nothing to examine"):
-        check_characterization(theorem, rings, 3)
+        _characterize(theorem, rings, 3)

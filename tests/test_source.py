@@ -109,3 +109,23 @@ def test_no_library_path_reads_the_references():
                     found.append(f"{path.name}: {getattr(node, 'name', node.lineno)} reads {name}")
     assert list(SOURCE.glob("*.py"))
     assert not found, found
+
+
+# the one loop over spaces of the characterization checks, and the one-space
+# sweep of find_attaining_codes
+SWEEP_CALLERS = {"check_characterizations", "find_attaining_codes"}
+
+
+def test_only_the_driver_sweeps():
+    # every check reads the rows of the one shared sweep, so no check grows
+    # a scan loop of its own again
+    callers = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                callers.extend(f"{path.name}: {getattr(node, 'name', 'lambda')}"
+                               for leaf in ast.walk(node) if isinstance(leaf, ast.Call)
+                               and getattr(leaf.func, "id", getattr(leaf.func, "attr", None))
+                               == "_sweep")
+    assert callers and set(callers) == {f"search.py: {name}" for name in SWEEP_CALLERS}, callers
